@@ -22,17 +22,20 @@ from .curvature import flag_curvature, flag_curvature_predecessor, jacobi_operat
 from .connection import christoffel
 from .curves import geodesic_shoot
 from .errors import FinslerError
-from .metrics import TangentSample, builtin, load_metric
+from .metrics import _BUILTINS, TangentSample, builtin, load_metric
 from .verify import VerificationPlan, default_plan, run_verification
 
-_BARE_BUILTINS = ("euclidean", "minkowski_quartic", "sphere_round", "hyperbolic", "funk")
+_BARE_BUILTINS = tuple(_BUILTINS)
 
 
 def _vector(text):
     try:
-        return np.array([float(part) for part in text.split(",")])
+        vec = np.array([float(part) for part in text.split(",")])
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated decimals, got {text!r}")
+    if not np.all(np.isfinite(vec)):
+        raise argparse.ArgumentTypeError(f"expected finite decimals, got {text!r}")
+    return vec
 
 
 def _resolve_metric(name_or_path, dim):

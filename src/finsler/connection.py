@@ -8,9 +8,10 @@ metric blocks in three steps (Einstein summation, indices 0-based in code):
     N^s_j     = v^i gamma^s_ji - v^l v^i gamma^p_li g^{ks} C_pjk
     Gamma^s_ij = gamma^s_ij - g^{ks}(N^p_j C_pik + N^p_i C_pkj - N^p_k C_pij)
 
-The assembly is written once over a generic scalar ring: with float blocks it
-returns the symbols at a sample; with order-1 jet blocks it returns the
-symbols together with their x- and y-derivatives in a single pass.
+The assembly is written once over values with an optional trailing tangent
+axis: without tangents it returns the symbols at a sample; with the blocks'
+x- and y-derivatives as tangents it returns the symbols together with their
+x- and y-derivatives in a single pass (first-order Taylor arithmetic).
 """
 
 from __future__ import annotations
@@ -21,12 +22,7 @@ import numpy as np
 
 from . import exprs
 from .errors import DomainError
-from .geometry import (
-    TensorBlock,
-    check_nondegenerate,
-    metric_blocks,
-    point_ring_blocks,
-)
+from .geometry import SampleBlocks, TensorBlock, check_nondegenerate, metric_blocks
 from .jets import Jet, jet_space
 from .metrics import TangentSample
 
@@ -109,45 +105,67 @@ class ChristoffelEval:
     cartan: np.ndarray
 
 
-def christoffel_core(g, dg, C, v, ginv):
-    """Generic assembly of (gamma_low, gamma_up, N, Gamma) over any scalar
-    ring (float arrays or object arrays of jets)."""
-    gamma_low = 0.5 * (
-        dg - np.einsum("bca->abc", dg) + np.einsum("cab->abc", dg)
-    )  # gamma_low[k,i,j] = gamma_kij, symmetric in (i, j)
-    gamma_up = np.einsum("sk,kij->sij", ginv, gamma_low)
-    spray = np.einsum("pli,l,i->p", gamma_up, v, v)
-    C_up = np.einsum("pjk,ks->pjs", C, ginv)
-    N = np.einsum("sji,i->sj", gamma_up, v) - np.einsum("p,pjs->sj", spray, C_up)
-    corr = (
-        -np.einsum("ks,pj,pik->sij", ginv, N, C)
-        - np.einsum("ks,pi,pkj->sij", ginv, N, C)
-        + np.einsum("ks,pk,pij->sij", ginv, N, C)
+def tangent_einsum(spec, *factors):
+    """einsum over (value, tangent) factors.  A tangent is the derivative of
+    its value along a trailing axis, or None; the result's tangent follows
+    the product rule and is None when no factor carries one."""
+    value = np.einsum(spec, *(f[0] for f in factors))
+    inputs, output = spec.split("->")
+    inputs = inputs.split(",")
+    tangent = None
+    for k, (_, dk) in enumerate(factors):
+        if dk is None:
+            continue
+        terms = [s + "..." if m == k else s for m, s in enumerate(inputs)]
+        ops = [dk if m == k else f[0] for m, f in enumerate(factors)]
+        term = np.einsum(",".join(terms) + "->" + output + "...", *ops)
+        tangent = term if tangent is None else tangent + term
+    return value, tangent
+
+
+def tangent_map(f, *pairs):
+    """A linear map `f` applied to the values and, when present, to the
+    tangents of (value, tangent) pairs."""
+    value = f(*(p[0] for p in pairs))
+    if pairs[0][1] is None:
+        return value, None
+    return value, f(*(p[1] for p in pairs))
+
+
+def christoffel_core(dg, C, v, ginv, tangents=None):
+    """Assembly of (gamma_low, gamma_up, N, Gamma) from dg_dx, C, v and g^-1.
+
+    Returns (values, derivatives).  With `tangents`, the derivatives of
+    (dg, C, v, ginv) along a shared trailing axis, the derivatives of the
+    four outputs follow by the product rule; without, they are None."""
+    dg, C, v, ginv = zip((dg, C, v, ginv), tangents or (None,) * 4)
+    # gamma_low[k,i,j] = gamma_kij, symmetric in (i, j)
+    gamma_low = tangent_map(
+        lambda d: 0.5
+        * (d - np.einsum("bca...->abc...", d) + np.einsum("cab...->abc...", d)),
+        dg,
     )
-    Gamma = gamma_up + corr
-    return gamma_low, gamma_up, N, Gamma
+    gamma_up = tangent_einsum("sk,kij->sij", ginv, gamma_low)
+    spray = tangent_einsum("pli,l,i->p", gamma_up, v, v)
+    C_up = tangent_einsum("pjk,ks->pjs", C, ginv)
+    N = tangent_map(
+        np.subtract,
+        tangent_einsum("sji,i->sj", gamma_up, v),
+        tangent_einsum("p,pjs->sj", spray, C_up),
+    )
+    corr = [
+        tangent_einsum(spec, ginv, N, C)
+        for spec in ("ks,pj,pik->sij", "ks,pi,pkj->sij", "ks,pk,pij->sij")
+    ]
+    Gamma = tangent_map(lambda G, a, b, c: G + (-a - b + c), gamma_up, *corr)
+    out = (gamma_low, gamma_up, N, Gamma)
+    return tuple(p[0] for p in out), tangents and tuple(p[1] for p in out)
 
 
-def ring_inverse(g):
-    """Inverse of a matrix of order-1 jets.
-
-    In the order-1 ring the first-order part is nilpotent, so the Neumann
-    series truncates exactly: (g0 + d)^-1 = g0^-1 - g0^-1 d g0^-1.
-    """
-    n = g.shape[0]
-    val = np.array([[g[i, j].value for j in range(n)] for i in range(n)])
-    G0 = np.linalg.inv(val)
-    space = g[0, 0].space
-    delta = np.empty((n, n), dtype=object)
-    for i in range(n):
-        for j in range(n):
-            delta[i, j] = g[i, j] - val[i, j]
-    corr = np.einsum("ia,ab,bj->ij", G0, delta, G0)
-    out = np.empty((n, n), dtype=object)
-    for i in range(n):
-        for j in range(n):
-            out[i, j] = Jet.constant(space, G0[i, j]) - corr[i, j]
-    return out
+def inverse_with_tangent(g, dg):
+    """g^-1 and its derivative -g^-1 (dg) g^-1 along dg's trailing axis."""
+    G0 = np.linalg.inv(g)
+    return G0, -np.einsum("ia,abz,bj->ijz", G0, dg, G0)
 
 
 def christoffel(metric, sample):
@@ -156,8 +174,8 @@ def christoffel(metric, sample):
     blocks = metric_blocks(metric, sample.x, sample.v, order=3)
     check_nondegenerate(blocks.g, f"at x={sample.x.tolist()}, v={sample.v.tolist()}")
     ginv = np.linalg.solve(blocks.g, np.eye(metric.dim))
-    gamma_low, _, N, Gamma = christoffel_core(
-        blocks.g, blocks.dg_dx, blocks.C, sample.v, ginv
+    (gamma_low, _, N, Gamma), _ = christoffel_core(
+        blocks.dg_dx, blocks.C, sample.v, ginv
     )
     return ChristoffelEval(
         sample=sample,
@@ -175,7 +193,8 @@ class ChristoffelPartials:
     """Gamma with its base and fiber derivatives at one sample.
 
     Gamma[k,i,j] = Gamma^k_ij; dGamma_dx[k,i,j,p] = d Gamma^k_ij / d x^p;
-    dGamma_dy[k,i,j,p] = d Gamma^k_ij / d y^p; N[s,j] = N^s_j.
+    dGamma_dy[k,i,j,p] = d Gamma^k_ij / d y^p; N[s,j] = N^s_j.  `blocks`
+    holds the order-4 metric blocks they were computed from.
     """
 
     x: np.ndarray
@@ -187,51 +206,36 @@ class ChristoffelPartials:
     g: np.ndarray
     ginv: np.ndarray
     cartan: np.ndarray
+    blocks: SampleBlocks
 
 
 def christoffel_with_partials(metric, x, v):
-    """Run the Christoffel assembly over order-1 jet blocks, obtaining Gamma
-    together with all its first x- and y-derivatives in one pass."""
-    g, dg, C, v_ring, ring = point_ring_blocks(metric, x, v)
+    """Gamma together with all its first x- and y-derivatives, from one
+    order-4 evaluation of L: the assembly runs once over values carrying
+    their derivatives along the 2n (x, y) directions."""
+    blocks = metric_blocks(metric, x, v, order=4)
     n = metric.dim
-    gval = np.array([[g[i, j].value for j in range(n)] for i in range(n)])
-    check_nondegenerate(gval, f"at x={np.asarray(x).tolist()}, v={np.asarray(v).tolist()}")
-    ginv = ring_inverse(g)
-    _, _, N, Gamma = christoffel_core(g, dg, C, v_ring, ginv)
-
-    slot_pos = [
-        ring.index[tuple(1 if a == s else 0 for a in range(2 * n))]
-        for s in range(2 * n)
-    ]
-    G = np.empty((n, n, n))
-    dG_dx = np.empty((n, n, n, n))
-    dG_dy = np.empty((n, n, n, n))
-    Nval = np.empty((n, n))
-    for k in range(n):
-        for i in range(n):
-            Nval[k, i] = N[k, i].value
-            for j in range(n):
-                jet = Gamma[k, i, j]
-                G[k, i, j] = jet.value
-                for p in range(n):
-                    dG_dx[k, i, j, p] = jet.coeffs[slot_pos[p]]
-                    dG_dy[k, i, j, p] = jet.coeffs[slot_pos[n + p]]
-    Cval = np.array(
-        [[[C[i, j, k].value for k in range(n)] for j in range(n)] for i in range(n)]
-    )
-    ginv_val = np.array(
-        [[ginv[i, j].value for j in range(n)] for i in range(n)]
+    check_nondegenerate(blocks.g, f"at x={np.asarray(x).tolist()}, v={np.asarray(v).tolist()}")
+    # derivatives along (x^0..x^{n-1}, y^0..y^{n-1}) on the trailing axis
+    g_t = np.concatenate([blocks.dg_dx, blocks.dg_dy], axis=-1)
+    dg_t = np.concatenate([blocks.d2g_dxdx, 2.0 * blocks.dC_dx.swapaxes(2, 3)], axis=-1)
+    C_t = np.concatenate([blocks.dC_dx, blocks.dC_dy], axis=-1)
+    v_t = np.hstack([np.zeros((n, n)), np.eye(n)])
+    ginv, ginv_t = inverse_with_tangent(blocks.g, g_t)
+    (_, _, N, Gamma), (_, _, _, Gamma_t) = christoffel_core(
+        blocks.dg_dx, blocks.C, blocks.v, ginv, tangents=(dg_t, C_t, v_t, ginv_t)
     )
     return ChristoffelPartials(
-        x=np.asarray(x, dtype=float),
-        v=np.asarray(v, dtype=float),
-        Gamma=G,
-        dGamma_dx=dG_dx,
-        dGamma_dy=dG_dy,
-        N=Nval,
-        g=gval,
-        ginv=ginv_val,
-        cartan=Cval,
+        x=blocks.x,
+        v=blocks.v,
+        Gamma=Gamma,
+        dGamma_dx=Gamma_t[..., :n],
+        dGamma_dy=Gamma_t[..., n:],
+        N=N,
+        g=blocks.g,
+        ginv=ginv,
+        cartan=blocks.C,
+        blocks=blocks,
     )
 
 

@@ -24,10 +24,12 @@ from .connection import (
     christoffel,
     christoffel_core,
     christoffel_with_partials,
-    ring_inverse,
+    inverse_with_tangent,
+    tangent_einsum,
+    tangent_map,
 )
 from .errors import DomainError
-from .geometry import TensorBlock, composed_ring_blocks, metric_blocks
+from .geometry import TensorBlock, composed_blocks
 from .jets import Jet, jet_space
 from .metrics import TangentSample
 
@@ -140,11 +142,11 @@ def curvature_field_nested(metric, V, X, Y, Z, x):
 # -- covariant derivative of the Cartan tensor --------------------------------
 
 
-def cartan_derivative_block(cp, blocks, V_jac):
+def cartan_derivative_block(cp, V_jac):
     """(nabla^V C_V)[l, i, j, k] assembled from cached Christoffel partials,
-    order-4 metric blocks and the reference field's Jacobian."""
-    DC = np.einsum("ijkl->lijk", blocks.dC_dx) + np.einsum(
-        "ql,ijkq->lijk", V_jac, blocks.dC_dy
+    their order-4 metric blocks and the reference field's Jacobian."""
+    DC = np.einsum("ijkl->lijk", cp.blocks.dC_dx) + np.einsum(
+        "ql,ijkq->lijk", V_jac, cp.blocks.dC_dy
     )
     G = cp.Gamma
     C = cp.cartan
@@ -164,8 +166,7 @@ def nabla_cartan_block(metric, V, x):
     if not metric.in_domain(x, v):
         raise DomainError(f"reference field is not admissible at x={x.tolist()}")
     cp = christoffel_with_partials(metric, x, v)
-    blocks = metric_blocks(metric, x, v, order=4)
-    block = cartan_derivative_block(cp, blocks, V.jacobian(x))
+    block = cartan_derivative_block(cp, V.jacobian(x))
     return block, cp
 
 
@@ -236,21 +237,14 @@ def r_along_curve(metric, curve, t, u, w):
     return hh_apply(hh_block(cp), v, u, w) + H
 
 
-def _ring_jet(ring, value, d_t, d_s):
-    c = np.zeros(ring.size)
-    c[ring.index[(0, 0)]] = value
-    c[ring.index[(1, 0)]] = d_t
-    c[ring.index[(0, 1)]] = d_s
-    return Jet(ring, c)
-
-
 def r_along_curve_direct(metric, curve, t, u, w, rng=None):
     """R^gamma(gammadot, u)w by the direct two-parameter-map commutator
     D_t(D_s W) - D_s(D_t W), with the u-extension parallel along the curve.
 
     The map is a polynomial jet built from the curve's 2-jet; with `rng` the
     free jet data (second s-derivative and the W-field's derivatives) gets
-    random values, which the commutator provably cancels."""
+    random values, which the commutator provably cancels.  Every quantity is
+    a value with its (d/dt, d/ds) derivatives on a trailing axis."""
     n = metric.dim
     x0 = curve.position(t)
     v0 = curve.velocity(t)
@@ -268,44 +262,57 @@ def r_along_curve_direct(metric, curve, t, u, w, rng=None):
     else:
         lam_ss, w_t, w_s, w_ts, w_tt, w_ss = rng.uniform(-1.0, 1.0, (6, n))
 
-    combined = jet_space(2 + 2 * n, 4)
-    tj = Jet.variable(combined, 0.0, 0)
-    sj = Jet.variable(combined, 0.0, 1)
+    space = jet_space(2 + 2 * n, 4)
+
+    def mono(*slots):
+        """The monomial over (t, s, x, y) with the given slots, as a jet."""
+        m = [0] * space.nvars
+        for k in slots:
+            m[k] += 1
+        c = np.zeros(space.size)
+        c[space.index[tuple(m)]] = 1.0
+        return Jet(space, c)
+
+    t1, s1, tt, ts, ss = mono(0), mono(1), mono(0, 0), mono(0, 1), mono(1, 1)
     x_jets, v_jets = [], []
     for i in range(n):
         lam = (
             x0[i]
-            + tj * v0[i]
-            + (tj * tj) * (0.5 * acc2[i])
-            + sj * u[i]
-            + (tj * sj) * udot[i]
-            + (sj * sj) * (0.5 * lam_ss[i])
+            + t1 * v0[i]
+            + tt * (0.5 * acc2[i])
+            + s1 * u[i]
+            + ts * udot[i]
+            + ss * (0.5 * lam_ss[i])
         )
-        lam_t = v0[i] + tj * acc2[i] + sj * udot[i]
-        x_jets.append(lam + Jet.variable(combined, 0.0, 2 + i))
-        v_jets.append(lam_t + Jet.variable(combined, 0.0, 2 + n + i))
-    g, dg, C = composed_ring_blocks(metric, x_jets, v_jets, n_outer=2)
+        lam_t = v0[i] + t1 * acc2[i] + s1 * udot[i]
+        x_jets.append(lam + mono(2 + i))
+        v_jets.append(lam_t + mono(2 + n + i))
+    blocks = composed_blocks(metric, x_jets, v_jets, n_outer=2)
+    g, g_t = blocks["g"]
+    dg, dg_t = blocks["dg_dx"]
+    C, C_t = blocks["C"]
 
-    ring = jet_space(2, 1)
-    lam_t = np.array([_ring_jet(ring, v0[i], acc2[i], udot[i]) for i in range(n)], dtype=object)
-    lam_s = np.array([_ring_jet(ring, u[i], udot[i], lam_ss[i]) for i in range(n)], dtype=object)
-    W = np.array([_ring_jet(ring, w[i], w_t[i], w_s[i]) for i in range(n)], dtype=object)
-    dWdt = np.array([_ring_jet(ring, w_t[i], w_tt[i], w_ts[i]) for i in range(n)], dtype=object)
-    dWds = np.array([_ring_jet(ring, w_s[i], w_ts[i], w_ss[i]) for i in range(n)], dtype=object)
+    def with_ts(value, d_t, d_s):
+        return value, np.stack([d_t, d_s], axis=-1)
 
-    Gamma = christoffel_core(g, dg, C, lam_t, ring_inverse(g))[3]
+    lam_t = with_ts(v0, acc2, udot)
+    lam_s = with_ts(u, udot, lam_ss)
+    W = with_ts(w, w_t, w_s)
 
-    D_s_W = dWds + np.einsum("i,j,kij->k", W, lam_s, Gamma)
-    D_t_W = dWdt + np.einsum("i,j,kij->k", W, lam_t, Gamma)
-
-    value = np.vectorize(lambda jet: jet.value)
-    G0 = value(Gamma)
-    outer_t = np.array([c.extract((1, 0)) for c in D_s_W]) + np.einsum(
-        "i,j,kij->k", value(D_s_W), value(lam_t), G0
+    ginv, ginv_t = inverse_with_tangent(g, g_t)
+    (_, _, _, G), (_, _, _, G_t) = christoffel_core(
+        dg, C, v0, ginv, tangents=(dg_t, C_t, lam_t[1], ginv_t)
     )
-    outer_s = np.array([c.extract((0, 1)) for c in D_t_W]) + np.einsum(
-        "i,j,kij->k", value(D_t_W), value(lam_s), G0
+    Gamma = (G, G_t)
+
+    DsW, DsW_t = tangent_map(
+        np.add, with_ts(w_s, w_ts, w_ss), tangent_einsum("i,j,kij->k", W, lam_s, Gamma)
     )
+    DtW, DtW_t = tangent_map(
+        np.add, with_ts(w_t, w_tt, w_ts), tangent_einsum("i,j,kij->k", W, lam_t, Gamma)
+    )
+    outer_t = DsW_t[:, 0] + np.einsum("i,j,kij->k", DsW, v0, G)
+    outer_s = DtW_t[:, 1] + np.einsum("i,j,kij->k", DtW, u, G)
     return outer_t - outer_s
 
 

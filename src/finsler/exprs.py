@@ -108,10 +108,16 @@ class _Parser:
         tok = self.peek()
         if tok and tok[0] == "op" and tok[1] == "^":
             self.next()
+            start = self.peek()
             exponent = self.factor()
-            value = _const_value(exponent)
+            try:
+                value = _const_value(exponent)
+            except (ZeroDivisionError, OverflowError) as exc:
+                raise ParseError(f"exponent cannot be evaluated ({exc})", self.text, start[2])
             if value is None:
                 raise ParseError("exponent must be a numeric constant", self.text, tok[2])
+            if isinstance(value, complex):
+                raise ParseError("exponent is not a real number", self.text, start[2])
             node = ("pow", node, value)
         return node
 

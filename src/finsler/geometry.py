@@ -15,11 +15,13 @@ All blocks at a sample (x, v) come from a single jet evaluation of L with all
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import DegenerateMetricError
-from .jets import Jet, derivative_jet, jet_space, split_jet
+from .jets import Jet, jet_space
+
 COND_LIMIT = 1e10
 
 
@@ -80,15 +82,55 @@ def lower_first(g, block):
     return (g @ block.reshape(n, -1)).reshape(block.shape)
 
 
-def _unit(n2, *slots):
-    mono = [0] * n2
-    for s in slots:
-        mono[s] += 1
-    return tuple(mono)
-
-
 def _as_jet(value, space):
     return value if isinstance(value, Jet) else Jet.constant(space, float(value))
+
+
+# Every block is an L-derivative with `fiber` y-slots then `base` x-slots,
+# times a constant factor: (name, factor, fiber, base).
+_BLOCKS = (
+    ("dL_dy", 1.0, 1, 0),
+    ("g", 0.5, 2, 0),
+    ("dg_dx", 0.5, 2, 1),
+    ("dg_dy", 0.5, 3, 0),
+    ("C", 0.25, 3, 0),
+    ("d2g_dxdx", 0.5, 2, 2),
+    ("dC_dx", 0.25, 3, 1),
+    ("dC_dy", 0.25, 4, 0),
+)
+
+
+@lru_cache(maxsize=None)
+def _block_gather(n, order, n_outer=0):
+    """(name, positions, scales) for every block an L jet of `order` over
+    (n_outer parameters, x, y) holds: `coeffs[positions] * scales` is the
+    block.  With n_outer > 0 the blocks gain a trailing axis holding the
+    value and then its derivative along each parameter."""
+    space = jet_space(n_outer + 2 * n, order)
+    extra = (n_outer + 1,) if n_outer else ()
+    table = []
+    for name, factor, fiber, base in _BLOCKS:
+        if fiber + base + (n_outer > 0) > order:
+            continue
+        pos = np.empty((n,) * (fiber + base) + extra, dtype=np.intp)
+        for idx in np.ndindex(pos.shape):
+            mono = [0] * space.nvars
+            for a in idx[:fiber]:
+                mono[n_outer + n + a] += 1
+            for a in idx[fiber : fiber + base]:
+                mono[n_outer + a] += 1
+            if extra and idx[-1]:
+                mono[idx[-1] - 1] += 1
+            pos[idx] = space.index[tuple(mono)]
+        table.append((name, pos, factor * space.factorials[pos]))
+    return tuple(table)
+
+
+def _gather_blocks(LJ, n, n_outer=0):
+    """Every block held by the L jet `LJ` (see `_block_gather`), by name."""
+    c = LJ.coeffs
+    table = _block_gather(n, LJ.space.order, n_outer)
+    return {name: c[pos] * scale for name, pos, scale in table}
 
 
 @dataclass(frozen=True)
@@ -120,46 +162,7 @@ def metric_blocks(metric, x, v, order):
     xj = [Jet.variable(space, x[i], i) for i in range(n)]
     vj = [Jet.variable(space, v[i], n + i) for i in range(n)]
     LJ = _as_jet(metric.func(xj, vj), space)
-
-    def d(*slots):
-        return LJ.extract(_unit(2 * n, *slots))
-
-    L = LJ.value
-    dL_dy = np.array([d(n + i) for i in range(n)])
-    g = np.empty((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            g[i, j] = g[j, i] = 0.5 * d(n + i, n + j)
-    out = {"x": x, "v": v, "order": order, "L": L, "dL_dy": dL_dy, "g": g}
-
-    if order >= 3:
-        dg_dx = np.empty((n, n, n))
-        C = np.empty((n, n, n))
-        for i in range(n):
-            for j in range(i, n):
-                for k in range(n):
-                    val = 0.5 * d(n + i, n + j, k)
-                    dg_dx[i, j, k] = dg_dx[j, i, k] = val
-                    cval = 0.25 * d(n + i, n + j, n + k)
-                    C[i, j, k] = C[j, i, k] = cval
-        # full symmetrization of C across its last axis is automatic: the jet
-        # coefficient only sees the multiset of slots
-        dg_dy = 2.0 * np.einsum("kij->ijk", C)
-        out.update(dg_dx=dg_dx, dg_dy=dg_dy, C=C)
-
-    if order >= 4:
-        d2g_dxdx = np.empty((n, n, n, n))
-        dC_dx = np.empty((n, n, n, n))
-        dC_dy = np.empty((n, n, n, n))
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    for l in range(n):
-                        d2g_dxdx[i, j, k, l] = 0.5 * d(n + i, n + j, k, l)
-                        dC_dx[i, j, k, l] = 0.25 * d(n + i, n + j, n + k, l)
-                        dC_dy[i, j, k, l] = 0.25 * d(n + i, n + j, n + k, n + l)
-        out.update(d2g_dxdx=d2g_dxdx, dC_dx=dC_dx, dC_dy=dC_dy)
-    return SampleBlocks(**out)
+    return SampleBlocks(x=x, v=v, order=order, L=LJ.value, **_gather_blocks(LJ, n))
 
 
 def check_nondegenerate(g, context=""):
@@ -194,68 +197,20 @@ def tensor_partials(metric, sample):
     }
 
 
-# -- jet-valued blocks (for differentiating the connection) -------------------
+def composed_blocks(metric, x_jets, v_jets, n_outer):
+    """Blocks of L along a map of `n_outer` parameters, by name, each as a
+    (value, derivatives) pair with the derivatives along the parameters on
+    a trailing axis.
 
-
-def point_ring_blocks(metric, x, v):
-    """g, dg_dx, C and v with entries as order-1 jets over the 2n (x, y)
-    seed directions, extracted from one order-4 evaluation of L.
-
-    Running the Christoffel pipeline over this ring yields Gamma together
-    with its x- and y-derivatives in one pass.
-    """
-    metric.check_sample(x, v)
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    n = metric.dim
-    space = jet_space(2 * n, 4)
-    xj = [Jet.variable(space, x[i], i) for i in range(n)]
-    vj = [Jet.variable(space, v[i], n + i) for i in range(n)]
-    LJ = _as_jet(metric.func(xj, vj), space)
-
-    g = np.empty((n, n), dtype=object)
-    dg = np.empty((n, n, n), dtype=object)
-    C = np.empty((n, n, n), dtype=object)
-    for i in range(n):
-        for j in range(n):
-            g[i, j] = derivative_jet(LJ, _unit(2 * n, n + i, n + j), 1) * 0.5
-            for k in range(n):
-                dg[i, j, k] = derivative_jet(LJ, _unit(2 * n, n + i, n + j, k), 1) * 0.5
-                C[i, j, k] = (
-                    derivative_jet(LJ, _unit(2 * n, n + i, n + j, n + k), 1) * 0.25
-                )
-    ring = jet_space(2 * n, 1)
-    v_ring = np.empty(n, dtype=object)
-    for i in range(n):
-        v_ring[i] = Jet.variable(ring, v[i], n + i)
-    return g, dg, C, v_ring, ring
-
-
-def composed_ring_blocks(metric, x_jets, v_jets, n_outer, outer_order=1):
-    """g, dg_dx, C as jets over `n_outer` leading outer variables, with the
-    base point and fiber vector given as jets in a combined space.
-
-    `x_jets`/`v_jets` must live in jet_space(n_outer + 2n, 3 + outer_order)
-    and carry the metric's own seed directions in the trailing 2n slots (the
-    caller adds Jet.variable offsets there).  Used to differentiate the
-    connection through a curve or a two-parameter map by composition.
+    `x_jets`/`v_jets` must live in jet_space(n_outer + 2n, 4) and carry the
+    metric's own seed directions in the trailing 2n slots (the caller adds
+    Jet.variable offsets there).  Used to differentiate the connection
+    through a curve or a two-parameter map by composition.
     """
     n = metric.dim
     combined = x_jets[0].space
-    if combined.nvars != n_outer + 2 * n:
-        raise ValueError("combined space does not match n_outer + 2*dim variables")
+    if combined.nvars != n_outer + 2 * n or combined.order != 4:
+        raise ValueError("combined space must be order 4 over n_outer + 2*dim variables")
     LJ = _as_jet(metric.func(list(x_jets), list(v_jets)), combined)
-
-    def block(*slots):
-        return split_jet(LJ, n_outer, _unit(2 * n, *slots), outer_order)
-
-    g = np.empty((n, n), dtype=object)
-    dg = np.empty((n, n, n), dtype=object)
-    C = np.empty((n, n, n), dtype=object)
-    for i in range(n):
-        for j in range(n):
-            g[i, j] = block(n + i, n + j) * 0.5
-            for k in range(n):
-                dg[i, j, k] = block(n + i, n + j, k) * 0.5
-                C[i, j, k] = block(n + i, n + j, n + k) * 0.25
-    return g, dg, C
+    blocks = _gather_blocks(LJ, n, n_outer)
+    return {name: (b[..., 0], b[..., 1:]) for name, b in blocks.items()}

@@ -302,49 +302,6 @@ def extract(jet, multi_index):
     return jet.extract(multi_index)
 
 
-def derivative_jet(jet, alpha, out_order):
-    """The partial derivative d^alpha of `jet`, as a jet over the same
-    variables truncated to `out_order`.
-
-    Requires out_order + sum(alpha) <= jet order.
-    """
-    space = jet.space
-    alpha = tuple(int(d) for d in alpha)
-    if len(alpha) != space.nvars:
-        raise ValueError("multi-index length does not match the jet variables")
-    if out_order + sum(alpha) > space.order:
-        raise ValueError("output order plus derivative degree exceeds the jet order")
-    out_space = jet_space(space.nvars, out_order)
-    coeffs = np.zeros(out_space.size)
-    for pos, beta in enumerate(out_space.monomials):
-        gamma = tuple(b + a for b, a in zip(beta, alpha))
-        src = space.index[gamma]
-        coeffs[pos] = (
-            jet.coeffs[src] * space.factorials[src] / out_space.factorials[pos]
-        )
-    return Jet(out_space, coeffs)
-
-
-def split_jet(jet, n_outer, inner_index, outer_order):
-    """Partial derivative of `jet` for `inner_index` over the trailing inner
-    variables, returned as a jet over the leading `n_outer` variables.
-
-    Requires outer_order + sum(inner_index) <= jet order.
-    """
-    space = jet.space
-    inner = tuple(int(d) for d in inner_index)
-    if len(inner) != space.nvars - n_outer:
-        raise ValueError("inner index length does not match trailing variables")
-    if outer_order + sum(inner) > space.order:
-        raise ValueError("outer order plus inner degree exceeds the jet order")
-    out_space = jet_space(n_outer, outer_order)
-    fact = math.prod(math.factorial(d) for d in inner)
-    coeffs = np.zeros(out_space.size)
-    for pos, beta in enumerate(out_space.monomials):
-        coeffs[pos] = jet.coeffs[space.index[beta + inner]] * fact
-    return Jet(out_space, coeffs)
-
-
 # Generic scalar functions usable on floats and jets alike, so expression
 # trees and builtin metrics evaluate through either.
 
@@ -368,6 +325,3 @@ def sin(x):
 def cos(x):
     return x.cos() if isinstance(x, Jet) else math.cos(x)
 
-
-def value_of(x):
-    return x.value if isinstance(x, Jet) else float(x)

@@ -392,7 +392,7 @@ def _point_identities(metric, sample, cp, track, where):
         )
 
 
-def _field_identities(metric, sample, cp, blocks4, rng, plan, track, where, heavy):
+def _field_identities(metric, sample, cp, rng, plan, track, where, heavy):
     n = metric.dim
     x0, v0 = sample.x, sample.v
     g, C, G = cp.g, cp.cartan, cp.Gamma
@@ -419,7 +419,7 @@ def _field_identities(metric, sample, cp, blocks4, rng, plan, track, where, heav
     nZV = nab(Zv, JV, v0)
 
     # almost g-compatibility (field form)
-    lhs = _g_derivative_along(blocks4, JV, Xv, Yv, Zv, JY, JZ)
+    lhs = _g_derivative_along(cp.blocks, JV, Xv, Yv, Zv, JY, JZ)
     rhs = (
         float(nab(Xv, JY, Yv) @ g @ Zv)
         + float(Yv @ g @ nab(Xv, JZ, Zv))
@@ -429,9 +429,9 @@ def _field_identities(metric, sample, cp, blocks4, rng, plan, track, where, heav
 
     # Koszul consistency
     koszul_rhs = (
-        _g_derivative_along(blocks4, JV, Xv, Yv, Zv, JY, JZ)
-        - _g_derivative_along(blocks4, JV, Zv, Xv, Yv, JX, JY)
-        + _g_derivative_along(blocks4, JV, Yv, Zv, Xv, JZ, JX)
+        _g_derivative_along(cp.blocks, JV, Xv, Yv, Zv, JY, JZ)
+        - _g_derivative_along(cp.blocks, JV, Zv, Xv, Yv, JX, JY)
+        + _g_derivative_along(cp.blocks, JV, Yv, Zv, Xv, JZ, JX)
         + float(bracket @ g @ Zv)
         + float((JX @ Zv - JZ @ Xv) @ g @ Yv)
         - float((JZ @ Yv - JY @ Zv) @ g @ Xv)
@@ -457,7 +457,7 @@ def _field_identities(metric, sample, cp, blocks4, rng, plan, track, where, heav
     bianchi1 = R(Xv, Yv, Zv) + R(Yv, Zv, Xv) + R(Zv, Xv, Yv)
     track.add("first_bianchi", _rel(bianchi1, R(Xv, Yv, Zv), R(Yv, Zv, Xv)), where)
 
-    nc = cartan_derivative_block(cp, blocks4, JV)
+    nc = cartan_derivative_block(cp, JV)
 
     sym_resid = max(
         np.abs(nc - nc.transpose(0, *p)).max()
@@ -784,11 +784,16 @@ def _flag_identities(metric, rng, plan, track, metric_name):
 def run_verification(plan):
     """Execute every identity sweep in the plan; deterministic for a fixed
     seed.  Returns a VerificationReport whose aggregate flag is the gate."""
+    for metric in plan.metrics:
+        if metric.dim < 2:
+            raise FinslerError(
+                f"metric {metric.name!r} has dimension {metric.dim}; "
+                "verification needs dimension 2 or more"
+            )
     rng = np.random.default_rng(plan.seed)
     track = _Tracker()
     names = []
-    for entry in plan.metrics:
-        metric = entry
+    for metric in plan.metrics:
         names.append(metric.name)
         for index in range(plan.samples):
             sample = sample_tangent(metric, rng, plan.box)
@@ -799,13 +804,11 @@ def run_verification(plan):
                 "v": sample.v.tolist(),
             }
             cp = christoffel_with_partials(metric, sample.x, sample.v)
-            blocks4 = metric_blocks(metric, sample.x, sample.v, order=4)
             _point_identities(metric, sample, cp, track, where)
             _field_identities(
                 metric,
                 sample,
                 cp,
-                blocks4,
                 rng,
                 plan,
                 track,

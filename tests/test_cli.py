@@ -206,9 +206,11 @@ def test_bad_flags_exit_2(capsys):
 
 
 def test_bad_vector_flag_exit_2(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["curvature", "--metric", "euclidean", "--x", "a,b", "--v", "1,0", "--u", "0,1"])
-    assert exc.value.code == 2
+    for bad in ("a,b", "nan,0.3", "inf,0"):
+        with pytest.raises(SystemExit) as exc:
+            main(["curvature", "--metric", "euclidean", "--x", bad, "--v", "1,0", "--u", "0,1"])
+        assert exc.value.code == 2
+        assert bad in capsys.readouterr().err
 
 
 def test_verify_global_tolerance_override(tmp_path):

@@ -86,18 +86,21 @@ def test_lower_index_symmetry_is_structural():
     assert G.symmetry_residual() <= 1e-15
 
 
-def test_partials_agree_with_plain_symbols_and_finite_differences():
-    m = builtin("funk", dim=2)
-    x = np.array([0.2, -0.25])
-    v = np.array([0.7, 0.5])
+@pytest.mark.parametrize("dim", [2, 3, 4])
+@pytest.mark.parametrize("name", ["funk", "minkowski_quartic", "perturbed_riemannian"])
+def test_partials_agree_with_plain_symbols_and_finite_differences(name, dim):
+    m = perturbed_riemannian(dim) if name == "perturbed_riemannian" else builtin(name, dim=dim)
+    x = np.array([0.2, -0.25, 0.1, -0.05][:dim])
+    v = np.array([0.7, 0.5, -0.4, 0.3][:dim])
     cp = christoffel_with_partials(m, x, v)
     ce = christoffel(m, TangentSample(x, v))
     np.testing.assert_allclose(cp.Gamma, ce.Gamma.values, atol=1e-13)
     np.testing.assert_allclose(cp.N, ce.N.values, atol=1e-13)
+    np.testing.assert_allclose(cp.ginv, ce.ginv, atol=1e-13)
 
     h = 1e-6
-    for p in range(2):
-        d = np.zeros(2)
+    for p in range(dim):
+        d = np.zeros(dim)
         d[p] = h
         Gp = christoffel(m, TangentSample(x + d, v)).Gamma.values
         Gm = christoffel(m, TangentSample(x - d, v)).Gamma.values

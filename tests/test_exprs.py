@@ -79,6 +79,15 @@ def test_variable_exponent_rejected():
     assert _eval("2 ^ (1 + 1)", [0.0], [0.0]) == 4.0
 
 
+def test_unevaluable_exponent_reports_position():
+    with pytest.raises(ParseError, match="exponent cannot be evaluated") as err:
+        parse_expression("x1^(1/0)")
+    assert err.value.pos == 3
+    with pytest.raises(ParseError, match="not a real number") as err:
+        parse_expression("v1 ^ (0 - 8) ^ 0.5")
+    assert err.value.pos == 5
+
+
 def test_fractional_power_needs_positive_base():
     f = compile_expression("v1 ^ 0.5", 1)
     assert f([0.0], [4.0]) == 2.0

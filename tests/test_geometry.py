@@ -13,10 +13,49 @@ from finsler.geometry import (
     raise_first,
     tensor_partials,
 )
+from finsler.jets import Jet, jet_space
 from finsler.metrics import TangentSample, builtin
 from finsler.verify import perturbed_riemannian
 
 from oracles import perturbation_matrix
+
+
+def test_metric_blocks_match_single_jet_extraction():
+    # every block entry is the matching partial of one order-4 jet of L,
+    # times 1 (dL_dy), 1/2 (g and its partials) or 1/4 (C and its partials)
+    n = 3
+    m = builtin("funk", dim=n)
+    x = np.array([0.1, -0.2, 0.15])
+    v = np.array([0.6, 0.3, -0.5])
+    space = jet_space(2 * n, 4)
+    LJ = m.func(
+        [Jet.variable(space, x[i], i) for i in range(n)],
+        [Jet.variable(space, v[i], n + i) for i in range(n)],
+    )
+
+    def d(*slots):
+        mono = [0] * (2 * n)
+        for s in slots:
+            mono[s] += 1
+        return LJ.extract(mono)
+
+    y = [n + i for i in range(n)]
+    for order in (2, 3, 4):
+        b = metric_blocks(m, x, v, order)
+        assert b.L == LJ.value
+        for i, j, k, l in np.ndindex(n, n, n, n):
+            assert b.dL_dy[i] == d(y[i])
+            assert b.g[i, j] == 0.5 * d(y[i], y[j])
+            if order >= 3:
+                assert b.dg_dx[i, j, k] == 0.5 * d(y[i], y[j], k)
+                assert b.dg_dy[i, j, k] == 0.5 * d(y[i], y[j], y[k])
+                assert b.C[i, j, k] == 0.25 * d(y[i], y[j], y[k])
+            if order == 4:
+                assert b.d2g_dxdx[i, j, k, l] == 0.5 * d(y[i], y[j], k, l)
+                assert b.dC_dx[i, j, k, l] == 0.25 * d(y[i], y[j], y[k], l)
+                assert b.dC_dy[i, j, k, l] == 0.25 * d(y[i], y[j], y[k], y[l])
+        if order < 4:
+            assert b.dC_dy is None
 
 
 def test_euclidean_g_is_identity():

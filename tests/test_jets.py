@@ -8,7 +8,7 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finsler.jets import Jet, derivative_jet, jet_space, seed, split_jet
+from finsler.jets import Jet, seed
 
 
 def test_seed_square_matches_expansion():
@@ -190,19 +190,3 @@ def test_division_roundtrip(a):
     ja, jb = seed([a, 2 * a + 0.5], 3)
     f = ja * jb + 1
     np.testing.assert_allclose(((f / jb) * jb).coeffs, f.coeffs, rtol=1e-12, atol=1e-12)
-
-
-def test_derivative_jet_and_split_jet():
-    space = jet_space(4, 4)
-    x0, x1, y0, y1 = (Jet.variable(space, v, i) for i, v in enumerate([0.5, -0.25, 1.0, 2.0]))
-    F = x0 * y0 * y0 * y1 + x1 * x0 * y1 + y0 * y1
-    # d^2/dy0^2 F = 2 x0 y1 as an order-1 jet over the same variables
-    d = derivative_jet(F, (0, 0, 2, 0), 1)
-    assert d.value == pytest.approx(2 * 0.5 * 2.0)
-    assert d.extract((1, 0, 0, 0)) == pytest.approx(2 * 2.0)
-    assert d.extract((0, 0, 0, 1)) == pytest.approx(2 * 0.5)
-    # same derivative via the outer/inner split (outer = first two slots)
-    s = split_jet(F, 2, (2, 0), 1)
-    assert s.value == pytest.approx(2 * 0.5 * 2.0)
-    assert s.extract((1, 0)) == pytest.approx(2 * 2.0)
-    assert s.extract((0, 1)) == pytest.approx(0.0)

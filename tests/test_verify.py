@@ -105,6 +105,13 @@ def test_sample_generation_failure_is_reported():
         sample_tangent(empty, rng, (-1.0, 1.0), max_tries=50)
 
 
+def test_dimension_one_plan_is_refused_before_sampling():
+    line = MetricField("line", 1, lambda x, v: v[0] * v[0])
+    plan = VerificationPlan(metrics=[builtin("euclidean", dim=2), line])
+    with pytest.raises(FinslerError, match="'line' has dimension 1"):
+        run_verification(plan)
+
+
 def test_plan_tolerance_lookup():
     plan = VerificationPlan(metrics=[builtin("euclidean", dim=2)])
     assert plan.tolerance("koszul") == 1e-9
