@@ -259,6 +259,10 @@ def main(argv=None):
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except ArithmeticError as exc:
+        # e.g. a metric expression dividing by zero at the requested sample
+        print(f"error: arithmetic failure while evaluating: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

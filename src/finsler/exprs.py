@@ -104,22 +104,31 @@ class _Parser:
         return self.power()
 
     def power(self):
+        base = self.peek()
         node = self.atom()
         tok = self.peek()
         if tok and tok[0] == "op" and tok[1] == "^":
             self.next()
             start = self.peek()
             exponent = self.factor()
-            try:
-                value = _const_value(exponent)
-            except (ZeroDivisionError, OverflowError) as exc:
-                raise ParseError(f"exponent cannot be evaluated ({exc})", self.text, start[2])
+            value = self.fold(exponent, "exponent", start)
             if value is None:
                 raise ParseError("exponent must be a numeric constant", self.text, tok[2])
-            if isinstance(value, complex):
-                raise ParseError("exponent is not a real number", self.text, start[2])
             node = ("pow", node, value)
+            # a constant base is folded too, so that e.g. (0 - 8)^0.5 is
+            # refused here rather than turning complex during evaluation
+            self.fold(node, "constant power", base)
         return node
+
+    def fold(self, node, what, start):
+        """_const_value(node), refusing complex values and failed arithmetic."""
+        try:
+            value = _const_value(node)
+        except (ZeroDivisionError, OverflowError) as exc:
+            raise ParseError(f"{what} cannot be evaluated ({exc})", self.text, start[2])
+        if isinstance(value, complex):
+            raise ParseError(f"{what} is not a real number", self.text, start[2])
+        return value
 
     def atom(self):
         tok = self.next()

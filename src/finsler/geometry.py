@@ -3,6 +3,9 @@
 All blocks at a sample (x, v) come from a single jet evaluation of L with all
 2n base/fiber directions seeded.  Conventions (0-based arrays, y = fiber):
 
+    dL_dy[i]         = d L / dy_i
+    dL_dx[k]         = d L / d x_k
+    d2L_dydx[i, k]   = d^2 L / dy_i dx_k
     g[i, j]          = 1/2 d^2 L / dy_i dy_j
     C[i, j, k]       = 1/4 d^3 L / dy_i dy_j dy_k          (fully symmetric)
     dg_dx[i, j, k]   = d g_ij / d x_k
@@ -90,6 +93,8 @@ def _as_jet(value, space):
 # times a constant factor: (name, factor, fiber, base).
 _BLOCKS = (
     ("dL_dy", 1.0, 1, 0),
+    ("dL_dx", 1.0, 0, 1),
+    ("d2L_dydx", 1.0, 1, 1),
     ("g", 0.5, 2, 0),
     ("dg_dx", 0.5, 2, 1),
     ("dg_dy", 0.5, 3, 0),
@@ -143,6 +148,8 @@ class SampleBlocks:
     L: float
     dL_dy: np.ndarray
     g: np.ndarray
+    dL_dx: np.ndarray
+    d2L_dydx: np.ndarray
     dg_dx: np.ndarray = None
     dg_dy: np.ndarray = None
     C: np.ndarray = None

@@ -2,6 +2,9 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -189,6 +192,33 @@ def test_domain_error_gives_single_diagnostic_and_exit_1(tmp_path, capsys):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
     assert err[0].startswith("error:")
+
+
+def test_complex_constant_in_metric_file_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "complex.metric"
+    path.write_text("dim = 2\nL = v1^2 + v2^2 * (0 - 8)^0.5\n")
+    code = main(["curvature", "--metric", str(path), "--x", "0.1,0.2", "--v", "1,0", "--u", "0,1"])
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: constant power is not a real number (at position 14)"]
+
+
+def test_division_by_zero_in_metric_gives_single_diagnostic_and_exit_2(tmp_path, capsys):
+    path = tmp_path / "zero.metric"
+    path.write_text("dim = 2\nL = (v1^2 + v2^2) / (x1 - x1)\n")
+    code = main(["curvature", "--metric", str(path), "--x", "0.1,0.2", "--v", "1,0", "--u", "0,1"])
+    assert code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: arithmetic failure")
+
+
+def test_python_dash_m_runs_the_cli():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-m", "finsler", "--help"], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: finsler")
 
 
 def test_unknown_metric_name_errors(capsys):

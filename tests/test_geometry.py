@@ -22,7 +22,8 @@ from oracles import perturbation_matrix
 
 def test_metric_blocks_match_single_jet_extraction():
     # every block entry is the matching partial of one order-4 jet of L,
-    # times 1 (dL_dy), 1/2 (g and its partials) or 1/4 (C and its partials)
+    # times 1 (dL_dy, dL_dx, d2L_dydx), 1/2 (g and its partials) or 1/4 (C
+    # and its partials)
     n = 3
     m = builtin("funk", dim=n)
     x = np.array([0.1, -0.2, 0.15])
@@ -45,6 +46,8 @@ def test_metric_blocks_match_single_jet_extraction():
         assert b.L == LJ.value
         for i, j, k, l in np.ndindex(n, n, n, n):
             assert b.dL_dy[i] == d(y[i])
+            assert b.dL_dx[k] == d(k)
+            assert b.d2L_dydx[i, k] == d(y[i], k)
             assert b.g[i, j] == 0.5 * d(y[i], y[j])
             if order >= 3:
                 assert b.dg_dx[i, j, k] == 0.5 * d(y[i], y[j], k)
