@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import os
+import re
 import sys
 
 import numpy as np
@@ -36,6 +37,22 @@ def _vector(text):
     if not np.all(np.isfinite(vec)):
         raise argparse.ArgumentTypeError(f"expected finite decimals, got {text!r}")
     return vec
+
+
+_VECTOR_FLAGS = ("--x", "--v", "--u", "--w", "--x0", "--v0", "--box")
+
+
+def _attach_negative_vectors(argv):
+    """Join a vector starting with '-' to the vector flag before it, so that
+    `--box -0.5,0.5` reads as `--box=-0.5,0.5`: argparse alone takes the
+    separate token for an unknown option."""
+    out = []
+    for token in argv:
+        if out and out[-1] in _VECTOR_FLAGS and re.match(r"-[\d.]", token):
+            out[-1] = f"{out[-1]}={token}"
+        else:
+            out.append(token)
+    return out
 
 
 def _resolve_metric(name_or_path, dim):
@@ -250,7 +267,8 @@ def build_parser():
 
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = parser.parse_args(_attach_negative_vectors(argv))
     try:
         return args.func(args)
     except FinslerError as exc:

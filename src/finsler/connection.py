@@ -132,6 +132,12 @@ def tangent_map(f, *pairs):
     return value, f(*(p[1] for p in pairs))
 
 
+def lowered_symbols(dg):
+    """gamma_low[k,i,j] = gamma_kij from dg_dx, symmetric in (i, j); any
+    trailing axes of `dg` are carried along."""
+    return 0.5 * (dg - np.einsum("bca...->abc...", dg) + np.einsum("cab...->abc...", dg))
+
+
 def christoffel_core(dg, C, v, ginv, tangents=None):
     """Assembly of (gamma_low, gamma_up, N, Gamma) from dg_dx, C, v and g^-1.
 
@@ -139,12 +145,7 @@ def christoffel_core(dg, C, v, ginv, tangents=None):
     (dg, C, v, ginv) along a shared trailing axis, the derivatives of the
     four outputs follow by the product rule; without, they are None."""
     dg, C, v, ginv = zip((dg, C, v, ginv), tangents or (None,) * 4)
-    # gamma_low[k,i,j] = gamma_kij, symmetric in (i, j)
-    gamma_low = tangent_map(
-        lambda d: 0.5
-        * (d - np.einsum("bca...->abc...", d) + np.einsum("cab...->abc...", d)),
-        dg,
-    )
+    gamma_low = tangent_map(lowered_symbols, dg)
     gamma_up = tangent_einsum("sk,kij->sij", ginv, gamma_low)
     spray = tangent_einsum("pli,l,i->p", gamma_up, v, v)
     C_up = tangent_einsum("pjk,ks->pjs", C, ginv)

@@ -197,11 +197,14 @@ def _riemannian(matrix, dim=None):
                         f"non-symmetric quadratic form: A[{i+1}{j+1}] != A[{j+1}{i+1}] at x={x}"
                     )
 
+    # The probe above is what allows summing each symmetric pair once:
+    # A_ij v_i v_j + A_ji v_j v_i = A_ij (2 v_i v_j).
     def L(x, v):
         total = 0.0
         for i in range(n):
-            for j in range(n):
-                total = total + entries[i][j](x) * v[i] * v[j]
+            total = total + entries[i][i](x) * (v[i] * v[i])
+            for j in range(i + 1, n):
+                total = total + entries[i][j](x) * (2 * (v[i] * v[j]))
         return total
 
     return MetricField("riemannian", n, L)

@@ -10,11 +10,17 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from . import jets
-from .connection import VectorFieldOnChart, christoffel, christoffel_with_partials
+from .connection import (
+    VectorFieldOnChart,
+    christoffel,
+    christoffel_with_partials,
+    lowered_symbols,
+)
 from .curvature import (
     cartan_derivative_block,
     covariant_acceleration,
@@ -106,9 +112,9 @@ def perturbed_riemannian(dim, amplitude=0.1):
 
     def entry(i, j):
         def f(x):
-            return (i == j) + amplitude * (
-                jets.sin(x[i] + 2 * x[j]) + jets.sin(x[j] + 2 * x[i])
-            )
+            s = jets.sin(x[i] + 2 * x[j])
+            t = s if i == j else jets.sin(x[j] + 2 * x[i])
+            return (i == j) + amplitude * (s + t)
 
         return f
 
@@ -228,54 +234,89 @@ def _poly_func(coeffs, center):
     return f
 
 
-def _monomials_upto(dim, degree):
-    monos = []
+@lru_cache(maxsize=None)
+def _poly_tables(n, degree):
+    """Exponent table of the monomials of degree <= `degree` in n variables,
+    with the exponents and factors of their first and second partials:
+    d_i x^a = a_i x^(a - e_i) and d_i d_j x^a = a_i (a_j - delta_ij)
+    x^(a - e_i - e_j).  Exponents are clipped at 0 where the factor is 0."""
+    expo = np.array(sorted(jets._monomials(n, degree)), dtype=np.intp)
+    eye = np.eye(n, dtype=np.intp)
+    d1 = expo[:, None, :] - eye
+    d2 = d1[:, :, None, :] - eye
+    f2 = expo[:, :, None] * (expo[:, None, :] - eye)
+    return (
+        expo,
+        np.maximum(d1, 0),
+        expo.astype(float),
+        np.maximum(d2, 0),
+        f2.astype(float),
+    )
 
-    def rec(prefix, rem, slots):
-        if slots == 0:
-            monos.append(tuple(prefix))
-            return
-        for d in range(rem + 1):
-            rec(prefix + [d], rem - d, slots - 1)
 
-    rec([], degree, dim)
-    return monos
+class PolynomialField(VectorFieldOnChart):
+    """Chart field with polynomial components in x - center, stored as an
+    exponent table and an (n, m) coefficient array.  Value, Jacobian and
+    Hessian are numpy contractions; `funcs` stay jet-evaluable for
+    composition along curves."""
+
+    def __init__(self, coeffs, center, degree, name):
+        self.coeffs = np.asarray(coeffs, dtype=float)
+        self.center = np.asarray(center, dtype=float)
+        self.degree = degree
+        n = len(self.center)
+        self._expo, self._d1, self._f1, self._d2, self._f2 = _poly_tables(n, degree)
+        monos = [tuple(a) for a in self._expo.tolist()]
+        funcs = [_poly_func(list(zip(monos, row.tolist())), self.center) for row in self.coeffs]
+        super().__init__(funcs, n, name)
+
+    def _monomial_values(self, x, exponents):
+        """Monomials of x - center for an exponent array (..., n)."""
+        d = np.asarray(x, dtype=float) - self.center
+        powers = d[:, None] ** np.arange(self.degree + 1)
+        return powers[np.arange(self.dim), exponents].prod(axis=-1)
+
+    def value(self, x):
+        return self.coeffs @ self._monomial_values(x, self._expo)
+
+    def jacobian(self, x):
+        return self.coeffs @ (self._f1 * self._monomial_values(x, self._d1))
+
+    def derivatives2(self, x):
+        H = np.einsum("km,mij->kij", self.coeffs, self._f2 * self._monomial_values(x, self._d2))
+        return self.value(x), self.jacobian(x), H
 
 
 def random_polynomial_field(rng, dim, degree=3, scale=1.0, center=None):
-    """Chart vector field with random polynomial components."""
+    """Chart vector field with random polynomial components, stored as a
+    coefficient array over the monomials of degree <= `degree`."""
     center = np.zeros(dim) if center is None else np.asarray(center, dtype=float)
-    monos = _monomials_upto(dim, degree)
-    funcs = []
-    for _ in range(dim):
-        coeffs = [(m, rng.uniform(-scale, scale)) for m in monos]
-        funcs.append(_poly_func(coeffs, center))
-    return VectorFieldOnChart(funcs, dim, "random_poly")
+    m = len(_poly_tables(dim, degree)[0])
+    coeffs = [rng.uniform(-scale, scale, m) for _ in range(dim)]
+    return PolynomialField(coeffs, center, degree, "random_poly")
 
 
 def extension_field(x0, value, jac, quad=None):
     """Field with prescribed value and Jacobian at x0 (plus an optional
-    quadratic part), used to build admissible reference extensions."""
+    quadratic part 1/2 quad[k,i,j] d_i d_j), used to build admissible
+    reference extensions; stored as a coefficient array of degree 1 or 2."""
     x0 = np.asarray(x0, dtype=float)
     value = np.asarray(value, dtype=float)
     jac = np.asarray(jac, dtype=float)
     n = len(x0)
-
-    def component(k):
-        def f(x):
-            d = [x[i] - x0[i] for i in range(n)]
-            total = value[k]
-            for i in range(n):
-                total = total + jac[k, i] * d[i]
-            if quad is not None:
-                for i in range(n):
-                    for j in range(n):
-                        total = total + 0.5 * quad[k, i, j] * d[i] * d[j]
-            return total
-
-        return f
-
-    return VectorFieldOnChart([component(k) for k in range(n)], n, "extension")
+    degree = 1 if quad is None else 2
+    expo = _poly_tables(n, degree)[0]
+    coeffs = np.empty((n, len(expo)))
+    for m, alpha in enumerate(expo):
+        idx = np.repeat(np.arange(n), alpha)
+        if len(idx) == 0:
+            coeffs[:, m] = value
+        elif len(idx) == 1:
+            coeffs[:, m] = jac[:, idx[0]]
+        else:
+            i, j = idx
+            coeffs[:, m] = quad[:, i, i] / 2 if i == j else (quad[:, i, j] + quad[:, j, i]) / 2
+    return PolynomialField(coeffs, x0, degree, "extension")
 
 
 def random_curve(rng, sample, scale=1.0):
@@ -370,8 +411,8 @@ def _point_identities(metric, sample, cp, track, where):
 
     track.add("christoffel_symmetry", _rel(G - G.transpose(0, 2, 1), G, 1.0), where)
 
-    ce = christoffel(metric, sample)
-    gamma_up = np.linalg.solve(ce.g, ce.gamma_lc.values.reshape(n, -1)).reshape(n, n, n)
+    gamma_low = lowered_symbols(cp.blocks.dg_dx)
+    gamma_up = np.linalg.solve(g, gamma_low.reshape(n, -1)).reshape(n, n, n)
     lhs = np.einsum("kij,i,j->k", G, v, v)
     rhs = np.einsum("kij,i,j->k", gamma_up, v, v)
     vv_scale = np.abs(G).max() * float(v @ v)

@@ -243,6 +243,35 @@ def test_bad_vector_flag_exit_2(capsys):
         assert bad in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "spaced, joined",
+    [
+        (["--box", "-0.5,0.5"], ["--box=-0.5,0.5"]),
+        (["--x", "-0.2,0.1", "--v", "-1,0.5"], ["--x=-0.2,0.1", "--v=-1,0.5"]),
+        (["--x0", "-.2,0.1", "--v0", "1,-0.5"], ["--x0=-.2,0.1", "--v0=1,-0.5"]),
+    ],
+)
+def test_vector_flags_accept_a_separate_negative_value(spaced, joined, capsys):
+    command = {
+        "--box": ["table", "--metric", "sphere_round", "--grid", "3"],
+        "--x": ["curvature", "--metric", "funk", "--u", "0,1"],
+        "--x0": ["geodesic", "--metric", "funk", "--T", "0.5", "--points", "5"],
+    }[spaced[0]]
+    assert main(command + joined) == 0
+    expected = capsys.readouterr().out
+    assert main(command + spaced) == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_separate_non_finite_vector_is_still_refused(capsys):
+    for bad in ("-inf,0", "-nan,0.3"):
+        for argv in (["--x", bad], ["--x=" + bad]):
+            with pytest.raises(SystemExit) as exc:
+                main(["curvature", "--metric", "euclidean", *argv, "--v", "1,0", "--u", "0,1"])
+            assert exc.value.code == 2
+            capsys.readouterr()
+
+
 def test_verify_global_tolerance_override(tmp_path):
     # one knob: a loose global tolerance passes, an absurdly tight one fails
     assert main(["verify", "--plan", "default", "--seed", "2", "--samples", "2", "--tol", "1e-3"]) == 0

@@ -5,14 +5,19 @@ import math
 import numpy as np
 import pytest
 
+from finsler import jets
 from finsler.errors import DomainError, ParseError
+from finsler.geometry import metric_blocks
 from finsler.metrics import (
+    MetricField,
     TangentSample,
+    _as_entry,
     builtin,
     check_homogeneity,
     load_metric,
     parse_metric,
 )
+from finsler.verify import perturbed_riemannian
 
 
 def test_euclidean_value():
@@ -57,6 +62,78 @@ def test_riemannian_builtin_and_symmetry_check():
     assert m.value([0.0, 0.0], [1.0, 1.0]) == 3.0
     with pytest.raises(ValueError, match="non-symmetric"):
         builtin("riemannian", matrix=[["1", "x1"], ["0", "1"]])
+
+
+def _block_arrays(metric, x, v, order):
+    b = metric_blocks(metric, x, v, order)
+    return {
+        name: value
+        for name, value in vars(b).items()
+        if isinstance(value, (np.ndarray, float)) and name not in ("x", "v")
+    }
+
+
+def _two_sin_entries(n, amplitude=0.1):
+    # the perturbed Riemannian entries with the diagonal sin evaluated twice
+    def entry(i, j):
+        return lambda x: (i == j) + amplitude * (
+            jets.sin(x[i] + 2 * x[j]) + jets.sin(x[j] + 2 * x[i])
+        )
+
+    return [[entry(i, j) for j in range(n)] for i in range(n)]
+
+
+def _double_sum(entries):
+    n = len(entries)
+
+    def L(x, v):
+        total = 0.0
+        for i in range(n):
+            for j in range(n):
+                total = total + entries[i][j](x) * v[i] * v[j]
+        return total
+
+    return MetricField("double_sum", n, L)
+
+
+_EXPRESSION_MATRIX = [
+    ["1 + x1^2", "0.2 * x1 * x2", "0.1 * exp(x3)"],
+    ["0.2 * x1 * x2", "2 + x2 * x3", "0.3 * x1"],
+    ["0.1 * exp(x3)", "0.3 * x1", "1.5 + 0.1 * x1^2 * x3"],
+]
+
+
+@pytest.mark.parametrize("source", ["expressions", "perturbed"])
+def test_riemannian_pair_once_sum_matches_double_sum(source):
+    if source == "expressions":
+        entries = [[_as_entry(e, 3) for e in row] for row in _EXPRESSION_MATRIX]
+        metric = builtin("riemannian", matrix=_EXPRESSION_MATRIX)
+    else:
+        entries = _two_sin_entries(3)
+        metric = perturbed_riemannian(3)
+    ref = _double_sum(entries)
+    rng = np.random.default_rng(17)
+    for _ in range(3):
+        x, v = rng.uniform(-0.5, 0.5, 3), rng.uniform(-1.0, 1.0, 3)
+        for order in (2, 3, 4):
+            got = _block_arrays(metric, x, v, order)
+            want = _block_arrays(ref, x, v, order)
+            for name, block in want.items():
+                scale = max(float(np.abs(block).max()), 1.0)
+                assert float(np.abs(got[name] - block).max()) <= 1e-14 * scale, name
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+def test_perturbed_riemannian_single_sin_diagonal_is_bit_equal(dim):
+    old = builtin("riemannian", matrix=_two_sin_entries(dim))
+    new = perturbed_riemannian(dim)
+    rng = np.random.default_rng(dim)
+    for _ in range(3):
+        x, v = rng.uniform(-0.6, 0.6, dim), rng.uniform(-1.0, 1.0, dim)
+        for order in (2, 4):
+            got = _block_arrays(new, x, v, order)
+            for name, block in _block_arrays(old, x, v, order).items():
+                np.testing.assert_array_equal(got[name], block, err_msg=name)
 
 
 def test_unknown_builtin():

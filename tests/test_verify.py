@@ -5,11 +5,15 @@ import json
 import numpy as np
 import pytest
 
+from finsler import jets
+from finsler.connection import VectorFieldOnChart
 from finsler.errors import FinslerError
 from finsler.metrics import MetricField, builtin
 from finsler.verify import (
     VerificationPlan,
     default_plan,
+    extension_field,
+    random_polynomial_field,
     run_verification,
     sample_tangent,
 )
@@ -127,3 +131,62 @@ def test_default_plan_passes_at_dimension_three():
     assert report.passed, [r.name for r in report.results if not r.passed]
     flags = {r.name: r.max_residual for r in report.results}
     assert flags["flag_funk"] <= 1e-4  # the constant holds in dimension 3 too
+
+
+def _max_rel(got, want):
+    return float(np.abs(got - want).max()) / max(float(np.abs(want).max()), 1e-300)
+
+
+def _fixture_fields(rng, dim, center):
+    return [
+        random_polynomial_field(rng, dim, 3, center=center),
+        extension_field(
+            center,
+            rng.uniform(-1.0, 1.0, dim),
+            rng.uniform(-1.0, 1.0, (dim, dim)),
+            quad=rng.uniform(-1.0, 1.0, (dim, dim, dim)),
+        ),
+        extension_field(center, rng.uniform(-1.0, 1.0, dim), rng.uniform(-1.0, 1.0, (dim, dim))),
+    ]
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_polynomial_fields_match_jet_evaluation_of_their_funcs(dim):
+    rng = np.random.default_rng(40 + dim)
+    center = rng.uniform(-0.5, 0.5, dim)
+    for field in _fixture_fields(rng, dim, center):
+        ref = VectorFieldOnChart(field.funcs, dim)
+        np.testing.assert_array_equal(field.value(center), ref.value(center))
+        np.testing.assert_array_equal(field.jacobian(center), ref.jacobian(center))
+        for _ in range(3):
+            x = center + rng.uniform(-0.5, 0.5, dim)
+            for got, want in zip(field.derivatives2(x), ref.derivatives2(x)):
+                assert _max_rel(got, want) <= 1e-14
+            np.testing.assert_array_equal(field.value(x), field.derivatives2(x)[0])
+            np.testing.assert_array_equal(field.jacobian(x), field.derivatives2(x)[1])
+
+
+def test_extension_field_is_the_prescribed_quadratic():
+    rng = np.random.default_rng(3)
+    n = 3
+    x0 = rng.uniform(-0.5, 0.5, n)
+    value, jac = rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, (n, n))
+    quad = rng.uniform(-1.0, 1.0, (n, n, n))
+    field = extension_field(x0, value, jac, quad=quad)
+    x = x0 + rng.uniform(-0.5, 0.5, n)
+    d = x - x0
+    sym = 0.5 * (quad + quad.transpose(0, 2, 1))
+    val, J, H = field.derivatives2(x)
+    assert _max_rel(val, value + jac @ d + 0.5 * np.einsum("kij,i,j->k", quad, d, d)) <= 1e-14
+    assert _max_rel(J, jac + sym @ d) <= 1e-14
+    np.testing.assert_array_equal(H, sym)
+
+
+def test_random_polynomial_field_draws_like_one_scalar_per_coefficient():
+    dim, degree = 3, 3
+    rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+    field = random_polynomial_field(rng, dim, degree)
+    m = len(jets._monomials(dim, degree))
+    scalars = [[ref.uniform(-1.0, 1.0) for _ in range(m)] for _ in range(dim)]
+    np.testing.assert_array_equal(field.coeffs, scalars)
+    assert rng.bit_generator.state == ref.bit_generator.state
