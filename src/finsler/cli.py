@@ -157,13 +157,12 @@ def _plan_from_file(path, seed):
             raise FinslerError(f"bad metric entry in plan: {entry!r}")
     if not metrics:
         raise FinslerError("plan lists no metrics")
+    # run_verification checks these values before sampling
     kwargs = {
         key: doc[key]
-        for key in ("samples", "curve_samples", "heavy_samples", "degree", "tolerances")
+        for key in ("samples", "curve_samples", "heavy_samples", "degree", "box", "tolerances")
         if key in doc
     }
-    if "box" in doc:
-        kwargs["box"] = tuple(doc["box"])
     plan_seed = int(doc.get("seed", seed))
     return VerificationPlan(metrics=metrics, seed=plan_seed, **kwargs)
 

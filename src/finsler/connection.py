@@ -12,11 +12,17 @@ The assembly is written once over values with an optional trailing tangent
 axis: without tangents it returns the symbols at a sample; with the blocks'
 x- and y-derivatives as tangents it returns the symbols together with their
 x- and y-derivatives in a single pass (first-order Taylor arithmetic).
+
+Inside `connection_memo()` both entry points evaluate each (metric, x, v)
+once and hand repeats the same read-only result; outside it every call
+computes afresh.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import contextvars
+from contextlib import contextmanager
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -169,9 +175,56 @@ def inverse_with_tangent(g, dg):
     return G0, -np.einsum("ia,abz,bj->ijz", G0, dg, G0)
 
 
+# dict of (function, metric, x bytes, v bytes) -> result while a memo scope
+# is open in the current context, else None
+_MEMO = contextvars.ContextVar("finsler_connection_memo", default=None)
+
+
+@contextmanager
+def connection_memo():
+    """Scope in which `christoffel` and `christoffel_with_partials` compute
+    each (metric, x, v) once.  Repeats get the stored result, whose arrays
+    are read-only; failures are not stored.  The memo belongs to the
+    current thread and context and is dropped on exit."""
+    token = _MEMO.set({})
+    try:
+        yield
+    finally:
+        _MEMO.reset(token)
+
+
+def _freeze(obj):
+    """Make every array reachable through `obj`'s dataclass fields read-only."""
+    if isinstance(obj, np.ndarray):
+        obj.flags.writeable = False
+    elif is_dataclass(obj):
+        for f in fields(obj):
+            _freeze(getattr(obj, f.name))
+    return obj
+
+
+def _memoized(compute, metric, x, v):
+    memo = _MEMO.get()
+    if memo is None:
+        return compute(metric, x, v)
+    # private copies, so that freezing never touches the caller's arrays
+    x = np.array(x, dtype=float)
+    v = np.array(v, dtype=float)
+    key = (compute, metric, x.tobytes(), v.tobytes())
+    result = memo.get(key)
+    if result is None:
+        result = memo[key] = _freeze(compute(metric, x, v))
+    return result
+
+
 def christoffel(metric, sample):
     """Christoffel symbols, nonlinear connection and lowered symbols at a
     sample, by the explicit formulas (float path)."""
+    return _memoized(_christoffel, metric, sample.x, sample.v)
+
+
+def _christoffel(metric, x, v):
+    sample = TangentSample(x, v)
     blocks = metric_blocks(metric, sample.x, sample.v, order=3)
     check_nondegenerate(blocks.g, f"at x={sample.x.tolist()}, v={sample.v.tolist()}")
     ginv = np.linalg.solve(blocks.g, np.eye(metric.dim))
@@ -214,6 +267,10 @@ def christoffel_with_partials(metric, x, v):
     """Gamma together with all its first x- and y-derivatives, from one
     order-4 evaluation of L: the assembly runs once over values carrying
     their derivatives along the 2n (x, y) directions."""
+    return _memoized(_christoffel_with_partials, metric, x, v)
+
+
+def _christoffel_with_partials(metric, x, v):
     blocks = metric_blocks(metric, x, v, order=4)
     n = metric.dim
     check_nondegenerate(blocks.g, f"at x={np.asarray(x).tolist()}, v={np.asarray(v).tolist()}")

@@ -157,8 +157,10 @@ def geodesic_shoot(metric, x0, v0, T, tol=1e-10):
     from the spray)."""
     x0 = np.asarray(x0, dtype=float)
     v0 = np.asarray(v0, dtype=float)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not np.isfinite(T):
+        raise ValueError(f"T must be finite, got {T!r}")
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
     if not np.any(v0 != 0.0):
         raise DomainError("geodesic initial velocity must be nonzero")
     metric.check_sample(x0, v0)

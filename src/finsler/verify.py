@@ -19,6 +19,7 @@ from .connection import (
     VectorFieldOnChart,
     christoffel,
     christoffel_with_partials,
+    connection_memo,
     lowered_symbols,
 )
 from .curvature import (
@@ -822,43 +823,74 @@ def _flag_identities(metric, rng, plan, track, metric_name):
         track.add(ident, abs(K - K0), where)
 
 
-def run_verification(plan):
-    """Execute every identity sweep in the plan; deterministic for a fixed
-    seed.  Returns a VerificationReport whose aggregate flag is the gate."""
+def _is_real(value, kinds=(int, float, np.integer, np.floating)):
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
+def _check_plan(plan):
+    """Refuse a plan that cannot be swept as written, before any sampling."""
     for metric in plan.metrics:
         if metric.dim < 2:
             raise FinslerError(
                 f"metric {metric.name!r} has dimension {metric.dim}; "
                 "verification needs dimension 2 or more"
             )
+    for name in ("samples", "curve_samples", "heavy_samples", "degree"):
+        value = getattr(plan, name)
+        if not (_is_real(value, (int, np.integer)) and value >= 0):
+            raise FinslerError(f"plan {name} must be a non-negative integer, got {value!r}")
+    box = plan.box
+    if not (
+        isinstance(box, (tuple, list, np.ndarray))
+        and len(box) == 2
+        and all(_is_real(b) and np.isfinite(b) for b in box)
+        and box[0] < box[1]
+    ):
+        raise FinslerError(f"plan box must be two finite numbers lo < hi, got {box!r}")
+    if not isinstance(plan.tolerances, dict):
+        raise FinslerError(f"plan tolerances must be a mapping, got {plan.tolerances!r}")
+    for name, value in plan.tolerances.items():
+        if name not in DEFAULT_TOLERANCES:
+            raise FinslerError(f"unknown tolerance name {name!r} in plan")
+        if not (_is_real(value) and np.isfinite(value) and value > 0):
+            raise FinslerError(
+                f"tolerance {name!r} must be a finite positive number, got {value!r}"
+            )
+
+
+def run_verification(plan):
+    """Execute every identity sweep in the plan; deterministic for a fixed
+    seed.  Returns a VerificationReport whose aggregate flag is the gate."""
+    _check_plan(plan)
     rng = np.random.default_rng(plan.seed)
     track = _Tracker()
     names = []
     for metric in plan.metrics:
         names.append(metric.name)
-        for index in range(plan.samples):
-            sample = sample_tangent(metric, rng, plan.box)
-            where = {
-                "metric": metric.name,
-                "kind": "point",
-                "x": sample.x.tolist(),
-                "v": sample.v.tolist(),
-            }
-            cp = christoffel_with_partials(metric, sample.x, sample.v)
-            _point_identities(metric, sample, cp, track, where)
-            _field_identities(
-                metric,
-                sample,
-                cp,
-                rng,
-                plan,
-                track,
-                where,
-                heavy=index < plan.heavy_samples,
-            )
-        _curve_identities(metric, rng, plan, track, metric.name)
-        _geodesic_identities(metric, rng, plan, track, metric.name)
-        _flag_identities(metric, rng, plan, track, metric.name)
+        with connection_memo():
+            for index in range(plan.samples):
+                sample = sample_tangent(metric, rng, plan.box)
+                where = {
+                    "metric": metric.name,
+                    "kind": "point",
+                    "x": sample.x.tolist(),
+                    "v": sample.v.tolist(),
+                }
+                cp = christoffel_with_partials(metric, sample.x, sample.v)
+                _point_identities(metric, sample, cp, track, where)
+                _field_identities(
+                    metric,
+                    sample,
+                    cp,
+                    rng,
+                    plan,
+                    track,
+                    where,
+                    heavy=index < plan.heavy_samples,
+                )
+            _curve_identities(metric, rng, plan, track, metric.name)
+            _geodesic_identities(metric, rng, plan, track, metric.name)
+            _flag_identities(metric, rng, plan, track, metric.name)
 
     results = []
     for name in DEFAULT_TOLERANCES:

@@ -182,6 +182,43 @@ def test_table_sphere_grid(sphere_file, tmp_path):
     np.testing.assert_allclose(ks, 1.0, atol=1e-6)
 
 
+@pytest.mark.parametrize("flag", ["--T", "--tol"])
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_geodesic_refuses_non_finite_time_and_tolerance(flag, bad, capsys, monkeypatch):
+    def integrate(*args, **kwargs):
+        raise AssertionError("integration started; with a non-finite T it never ends")
+
+    monkeypatch.setattr("finsler.curves.solve_ivp", integrate)
+    argv = ["geodesic", "--metric", "sphere_round", "--x0", "0.1,0.2", "--v0", "1,0", "--T", "1"]
+    code = main(argv + [f"{flag}={bad}"])
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error:") and flag[2:] in err[0]
+
+
+@pytest.mark.parametrize(
+    "argv, plan, field",
+    [
+        (["--samples", "-1"], None, "samples"),
+        (["--tol", "nan"], None, "tolerance"),
+        ([], {"samples": "ten"}, "samples"),
+        ([], {"degree": -1}, "degree"),
+        ([], {"box": 0.5}, "box"),
+        ([], {"tolerances": {"kozsul": 1e-30}}, "kozsul"),
+    ],
+)
+def test_verify_refuses_bad_plans_with_one_error_line(argv, plan, field, tmp_path, capsys):
+    if plan is not None:
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps({"metrics": ["euclidean"], **plan}))
+        argv = argv + ["--plan", str(path)]
+    assert main(["verify", *argv]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error:") and field in err[0]
+
+
 def test_domain_error_gives_single_diagnostic_and_exit_1(tmp_path, capsys):
     path = tmp_path / "funk.metric"
     path.write_text("dim = 2\nbuiltin = funk\n")

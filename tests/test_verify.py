@@ -1,11 +1,12 @@
 """Verification harness: determinism, report structure, failure reporting."""
 
+import contextlib
 import json
 
 import numpy as np
 import pytest
 
-from finsler import jets
+from finsler import jets, verify
 from finsler.connection import VectorFieldOnChart
 from finsler.errors import FinslerError
 from finsler.metrics import MetricField, builtin
@@ -114,6 +115,49 @@ def test_dimension_one_plan_is_refused_before_sampling():
     plan = VerificationPlan(metrics=[builtin("euclidean", dim=2), line])
     with pytest.raises(FinslerError, match="'line' has dimension 1"):
         run_verification(plan)
+
+
+@pytest.mark.parametrize(
+    "name, value, message",
+    [
+        ("samples", "ten", "samples must be a non-negative integer"),
+        ("samples", -1, "samples must be a non-negative integer"),
+        ("samples", 2.0, "samples must be a non-negative integer"),
+        ("curve_samples", -3, "curve_samples must be"),
+        ("heavy_samples", True, "heavy_samples must be"),
+        ("degree", -1, "degree must be a non-negative integer"),
+        ("box", (0.6, -0.6), "box must be two finite numbers"),
+        ("box", (-0.6, float("inf")), "box must be two finite numbers"),
+        ("box", (-0.6,), "box must be two finite numbers"),
+        ("box", ("a", "b"), "box must be two finite numbers"),
+        ("tolerances", {"kozsul": 1e-30}, "unknown tolerance name 'kozsul'"),
+        ("tolerances", {"koszul": float("nan")}, "'koszul' must be a finite positive"),
+        ("tolerances", {"koszul": 0.0}, "'koszul' must be a finite positive"),
+        ("tolerances", {"koszul": "1e-9"}, "'koszul' must be a finite positive"),
+        ("tolerances", [1e-9], "tolerances must be a mapping"),
+    ],
+)
+def test_bad_plans_are_refused_before_sampling(name, value, message):
+    def never(x, v):
+        raise AssertionError("sampled a plan that should have been refused")
+
+    plan = VerificationPlan(metrics=[MetricField("unsampled", 2, never, predicate=never)])
+    setattr(plan, name, value)
+    with pytest.raises(FinslerError, match=message):
+        run_verification(plan)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_connection_memo_leaves_reports_byte_identical(dim, monkeypatch):
+    def plan():
+        p = default_plan(samples=3, seed=11, dim=dim)
+        p.curve_samples = 2
+        p.heavy_samples = 1
+        return p
+
+    memoized = run_verification(plan()).to_json()
+    monkeypatch.setattr(verify, "connection_memo", contextlib.nullcontext)
+    assert run_verification(plan()).to_json() == memoized
 
 
 def test_plan_tolerance_lookup():
