@@ -23,9 +23,9 @@ from .metrics import (
     check_homogeneity,
     load_metric,
     parse_metric,
+    perturbed_riemannian,
 )
 from .geometry import (
-    TensorBlock,
     cartan_tensor,
     fundamental_tensor,
     metric_blocks,
@@ -66,7 +66,6 @@ from .verify import (
     VerificationPlan,
     VerificationReport,
     default_plan,
-    perturbed_riemannian,
     run_verification,
 )
 

@@ -24,7 +24,7 @@ from .connection import christoffel
 from .curves import geodesic_shoot
 from .errors import FinslerError
 from .metrics import _BUILTINS, TangentSample, builtin, load_metric
-from .verify import VerificationPlan, default_plan, run_verification
+from .verify import VerificationPlan, _is_real, default_plan, run_verification
 
 _BARE_BUILTINS = tuple(_BUILTINS)
 
@@ -60,8 +60,6 @@ def _resolve_metric(name_or_path, dim):
         return load_metric(name_or_path)
     if name_or_path in _BARE_BUILTINS:
         return builtin(name_or_path, dim=dim)
-    if name_or_path == "riemannian_perturbation":
-        return verify_mod.perturbed_riemannian(dim)
     raise FinslerError(
         f"metric {name_or_path!r} is neither a file nor a parameter-free builtin name"
     )
@@ -89,8 +87,8 @@ def _cmd_curvature(args):
         "L": metric.value(args.x, args.v),
         "g": ce.g.tolist(),
         "C": ce.cartan.tolist(),
-        "Gamma": ce.Gamma.values.tolist(),
-        "N": ce.N.values.tolist(),
+        "Gamma": ce.Gamma.tolist(),
+        "N": ce.N.tolist(),
         "jacobi": jacobi_operator(metric, sample, args.u).tolist(),
         "flag_curvature": flag_curvature(metric, sample, args.u),
     }
@@ -129,32 +127,58 @@ def _cmd_geodesic(args):
     return 0
 
 
+def _plan_int(value, what):
+    if not _is_real(value, (int,)):
+        raise FinslerError(f"plan {what} must be an integer, got {value!r}")
+    return value
+
+
+def _plan_metric(entry, dim):
+    """One metric entry of a plan file, type-checked before conversion."""
+    if isinstance(entry, str):
+        return builtin(entry, dim=dim)
+    if isinstance(entry, dict) and "file" in entry:
+        if not isinstance(entry["file"], str):
+            raise FinslerError(f"plan metric file must be a path string, got {entry['file']!r}")
+        return load_metric(entry["file"])
+    if isinstance(entry, dict) and isinstance(entry.get("builtin"), str):
+        kwargs = {"dim": _plan_int(entry.get("dim", dim), "metric dim")}
+        if "radius" in entry:
+            radius = entry["radius"]
+            if not (_is_real(radius) and np.isfinite(radius) and radius > 0):
+                raise FinslerError(f"plan radius must be a finite positive number, got {radius!r}")
+            kwargs["radius"] = float(radius)
+        if "matrix" in entry:
+            matrix = entry["matrix"]
+            if not (
+                isinstance(matrix, list)
+                and all(isinstance(row, list) for row in matrix)
+                and all(isinstance(a, str) or _is_real(a) for row in matrix for a in row)
+            ):
+                raise FinslerError(
+                    f"plan matrix must be a list of lists of numbers or expressions, got {matrix!r}"
+                )
+            kwargs["matrix"] = matrix
+        return builtin(entry["builtin"], **kwargs)
+    raise FinslerError(f"bad metric entry in plan: {entry!r}")
+
+
 def _plan_from_file(path, seed):
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise FinslerError(f"plan must be a JSON object, got {type(doc).__name__}")
     known = {"metrics", "samples", "curve_samples", "heavy_samples", "seed", "degree", "box", "tolerances", "dim"}
     unknown = set(doc) - known
     if unknown:
         raise FinslerError(f"unknown plan keys: {', '.join(sorted(unknown))}")
-    dim = int(doc.get("dim", 2))
-    metrics = []
-    for entry in doc.get("metrics", []):
-        if isinstance(entry, str):
-            if entry == "riemannian_perturbation":
-                metrics.append(verify_mod.perturbed_riemannian(dim))
-            else:
-                metrics.append(builtin(entry, dim=dim))
-        elif isinstance(entry, dict) and "file" in entry:
-            metrics.append(load_metric(entry["file"]))
-        elif isinstance(entry, dict) and "builtin" in entry:
-            kwargs = {"dim": int(entry.get("dim", dim))}
-            if "radius" in entry:
-                kwargs["radius"] = float(entry["radius"])
-            if "matrix" in entry:
-                kwargs["matrix"] = entry["matrix"]
-            metrics.append(builtin(entry["builtin"], **kwargs))
-        else:
-            raise FinslerError(f"bad metric entry in plan: {entry!r}")
+    dim = _plan_int(doc.get("dim", 2), "dim")
+    if "seed" in doc and not (_is_real(doc["seed"], (int,)) and doc["seed"] >= 0):
+        raise FinslerError(f"plan seed must be a non-negative integer, got {doc['seed']!r}")
+    entries = doc.get("metrics", [])
+    if not isinstance(entries, list):
+        raise FinslerError(f"plan metrics must be a list, got {entries!r}")
+    metrics = [_plan_metric(entry, dim) for entry in entries]
     if not metrics:
         raise FinslerError("plan lists no metrics")
     # run_verification checks these values before sampling
@@ -163,8 +187,7 @@ def _plan_from_file(path, seed):
         for key in ("samples", "curve_samples", "heavy_samples", "degree", "box", "tolerances")
         if key in doc
     }
-    plan_seed = int(doc.get("seed", seed))
-    return VerificationPlan(metrics=metrics, seed=plan_seed, **kwargs)
+    return VerificationPlan(metrics=metrics, seed=doc.get("seed", seed), **kwargs)
 
 
 def _cmd_verify(args):

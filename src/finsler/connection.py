@@ -28,7 +28,7 @@ import numpy as np
 
 from . import exprs
 from .errors import DomainError
-from .geometry import SampleBlocks, TensorBlock, check_nondegenerate, metric_blocks
+from .geometry import SampleBlocks, check_nondegenerate, metric_blocks
 from .jets import Jet, jet_space
 from .metrics import TangentSample
 
@@ -99,16 +99,27 @@ class VectorFieldOnChart:
 
 @dataclass(frozen=True)
 class ChristoffelEval:
-    """Christoffel data at one sample: gamma_lc[i,j,k] follows the pattern
-    gamma_ijk of the formal symbols, Gamma[k,i,j] = Gamma^k_ij, N[s,j] = N^s_j."""
+    """Christoffel data at one sample (x, v), with the metric blocks it was
+    computed from.
 
-    sample: TangentSample
-    gamma_lc: TensorBlock
-    N: TensorBlock
-    Gamma: TensorBlock
+    gamma_lc[k,i,j] = gamma_kij of the formal symbols, Gamma[k,i,j] =
+    Gamma^k_ij, N[s,j] = N^s_j.  `christoffel_with_partials` also fills
+    dGamma_dx[k,i,j,p] = d Gamma^k_ij / d x^p and dGamma_dy[k,i,j,p] =
+    d Gamma^k_ij / d y^p, and its `blocks` are of order 4; `christoffel`
+    leaves both partials None and keeps order-3 blocks.
+    """
+
+    x: np.ndarray
+    v: np.ndarray
+    gamma_lc: np.ndarray
+    Gamma: np.ndarray
+    N: np.ndarray
     g: np.ndarray
     ginv: np.ndarray
     cartan: np.ndarray
+    blocks: SampleBlocks
+    dGamma_dx: np.ndarray = None
+    dGamma_dy: np.ndarray = None
 
 
 def tangent_einsum(spec, *factors):
@@ -224,43 +235,21 @@ def christoffel(metric, sample):
 
 
 def _christoffel(metric, x, v):
-    sample = TangentSample(x, v)
-    blocks = metric_blocks(metric, sample.x, sample.v, order=3)
-    check_nondegenerate(blocks.g, f"at x={sample.x.tolist()}, v={sample.v.tolist()}")
+    blocks = metric_blocks(metric, x, v, order=3)
+    check_nondegenerate(blocks.g, f"at x={blocks.x.tolist()}, v={blocks.v.tolist()}")
     ginv = np.linalg.solve(blocks.g, np.eye(metric.dim))
-    (gamma_low, _, N, Gamma), _ = christoffel_core(
-        blocks.dg_dx, blocks.C, sample.v, ginv
-    )
+    (gamma_low, _, N, Gamma), _ = christoffel_core(blocks.dg_dx, blocks.C, blocks.v, ginv)
     return ChristoffelEval(
-        sample=sample,
-        gamma_lc=TensorBlock(gamma_low, variance=("d", "d", "d"), sym=((1, 2),)),
-        N=TensorBlock(N, variance=("u", "d")),
-        Gamma=TensorBlock(Gamma, variance=("u", "d", "d"), sym=((1, 2),)),
+        x=blocks.x,
+        v=blocks.v,
+        gamma_lc=gamma_low,
+        Gamma=Gamma,
+        N=N,
         g=blocks.g,
         ginv=ginv,
         cartan=blocks.C,
+        blocks=blocks,
     )
-
-
-@dataclass(frozen=True)
-class ChristoffelPartials:
-    """Gamma with its base and fiber derivatives at one sample.
-
-    Gamma[k,i,j] = Gamma^k_ij; dGamma_dx[k,i,j,p] = d Gamma^k_ij / d x^p;
-    dGamma_dy[k,i,j,p] = d Gamma^k_ij / d y^p; N[s,j] = N^s_j.  `blocks`
-    holds the order-4 metric blocks they were computed from.
-    """
-
-    x: np.ndarray
-    v: np.ndarray
-    Gamma: np.ndarray
-    dGamma_dx: np.ndarray
-    dGamma_dy: np.ndarray
-    N: np.ndarray
-    g: np.ndarray
-    ginv: np.ndarray
-    cartan: np.ndarray
-    blocks: SampleBlocks
 
 
 def christoffel_with_partials(metric, x, v):
@@ -280,20 +269,21 @@ def _christoffel_with_partials(metric, x, v):
     C_t = np.concatenate([blocks.dC_dx, blocks.dC_dy], axis=-1)
     v_t = np.hstack([np.zeros((n, n)), np.eye(n)])
     ginv, ginv_t = inverse_with_tangent(blocks.g, g_t)
-    (_, _, N, Gamma), (_, _, _, Gamma_t) = christoffel_core(
+    (gamma_low, _, N, Gamma), (_, _, _, Gamma_t) = christoffel_core(
         blocks.dg_dx, blocks.C, blocks.v, ginv, tangents=(dg_t, C_t, v_t, ginv_t)
     )
-    return ChristoffelPartials(
+    return ChristoffelEval(
         x=blocks.x,
         v=blocks.v,
+        gamma_lc=gamma_low,
         Gamma=Gamma,
-        dGamma_dx=Gamma_t[..., :n],
-        dGamma_dy=Gamma_t[..., n:],
         N=N,
         g=blocks.g,
         ginv=ginv,
         cartan=blocks.C,
         blocks=blocks,
+        dGamma_dx=Gamma_t[..., :n],
+        dGamma_dy=Gamma_t[..., n:],
     )
 
 
@@ -312,4 +302,4 @@ def nabla(metric, V, X, Y, x):
     Xv = X.value(x)
     Yv = Y.value(x)
     JY = Y.jacobian(x)
-    return JY @ Xv + np.einsum("kij,i,j->k", ce.Gamma.values, Xv, Yv)
+    return JY @ Xv + np.einsum("kij,i,j->k", ce.Gamma, Xv, Yv)

@@ -29,7 +29,7 @@ from .connection import (
     tangent_map,
 )
 from .errors import DomainError
-from .geometry import TensorBlock, composed_blocks
+from .geometry import composed_blocks
 from .jets import Jet, jet_space
 from .metrics import TangentSample
 
@@ -49,14 +49,13 @@ def hh_block(cp):
 
 def hh_curvature(metric, sample):
     """The horizontal-horizontal curvature block at a sample."""
-    cp = christoffel_with_partials(metric, sample.x, sample.v)
-    return TensorBlock(hh_block(cp), variance=("u", "d", "d", "d"))
+    return hh_block(christoffel_with_partials(metric, sample.x, sample.v))
 
 
 def hh_apply(R4, v, u, w):
     """R(v, u)w from the rank-4 block (w in the j-slot, v and u in the
     antisymmetric pair)."""
-    return np.einsum("ijkl,j,k,l->i", np.asarray(R4), w, v, u)
+    return np.einsum("ijkl,j,k,l->i", R4, w, v, u)
 
 
 def jacobi_operator(metric, sample, u):
@@ -209,7 +208,7 @@ def covariant_acceleration(metric, curve, t):
     x = curve.position(t)
     v = curve.velocity(t)
     ce = christoffel(metric, TangentSample(x, v))
-    return curve.acceleration(t) + np.einsum("kij,i,j->k", ce.Gamma.values, v, v)
+    return curve.acceleration(t) + np.einsum("kij,i,j->k", ce.Gamma, v, v)
 
 
 def h_tensor(metric, curve, t, u, w):
@@ -254,7 +253,7 @@ def r_along_curve_direct(metric, curve, t, u, w, rng=None):
     w = np.asarray(w, dtype=float)
 
     ce = christoffel(metric, TangentSample(x0, v0))
-    udot = -np.einsum("kij,i,j->k", ce.Gamma.values, u, v0)
+    udot = -np.einsum("kij,i,j->k", ce.Gamma, u, v0)
 
     if rng is None:
         lam_ss = np.zeros(n)

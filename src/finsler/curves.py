@@ -129,7 +129,7 @@ def cov_deriv_along(metric, curve, W, X, t):
     ce = christoffel(metric, TangentSample(x, w))
     vel = curve.velocity(t)
     return X.derivative(t) + np.einsum(
-        "kij,i,j->k", ce.Gamma.values, X.value(t), vel
+        "kij,i,j->k", ce.Gamma, X.value(t), vel
     )
 
 
@@ -212,7 +212,7 @@ def geodesic_residual(metric, curve, ts):
         x = curve.position(t)
         v = curve.velocity(t)
         ce = christoffel(metric, TangentSample(x, v))
-        resid = curve.acceleration(t) + np.einsum("kij,i,j->k", ce.Gamma.values, v, v)
+        resid = curve.acceleration(t) + np.einsum("kij,i,j->k", ce.Gamma, v, v)
         worst = max(worst, float(np.abs(resid).max()))
     return worst
 
@@ -228,7 +228,7 @@ def parallel_transport(metric, curve, W, x0, t0, t1):
         if not metric.in_domain(p, w):
             raise IntegrationError(f"reference field left the domain at t={t:g}")
         ce = christoffel(metric, TangentSample(p, w))
-        return -np.einsum("kij,i,j->k", ce.Gamma.values, X, curve.velocity(t))
+        return -np.einsum("kij,i,j->k", ce.Gamma, X, curve.velocity(t))
 
     sol = solve_ivp(
         rhs, (t0, t1), x0, method="RK45", rtol=1e-11, atol=1e-13, dense_output=True
@@ -281,11 +281,6 @@ class TwoParamMap:
             lambda t: self.func(t, s), self.t_range, dim=self.dim
         )
 
-    def s_curve(self, t):
-        return CurvePath.from_function(
-            lambda s: self.func(t, s), self.s_range, dim=self.dim
-        )
-
 
 def mixed_derivative_commutation(metric, lam, V, t, s):
     """Residual |D^V_{gamma_s} beta_t' - D^V_{beta_t} gamma_s'| at (t, s).
@@ -297,7 +292,7 @@ def mixed_derivative_commutation(metric, lam, V, t, s):
     if not metric.in_domain(p["value"], w):
         raise DomainError(f"reference field not admissible at (t={t:g}, s={s:g})")
     ce = christoffel(metric, TangentSample(p["value"], w))
-    G = ce.Gamma.values
+    G = ce.Gamma
     d_ts = p["d_ts"]
     first = d_ts + np.einsum("kij,i,j->k", G, p["d_s"], p["d_t"])
     second = d_ts + np.einsum("kij,i,j->k", G, p["d_t"], p["d_s"])

@@ -28,63 +28,6 @@ from .jets import Jet, jet_space
 COND_LIMIT = 1e10
 
 
-@dataclass(frozen=True)
-class TensorBlock:
-    """Dense tensor with per-axis variance flags and declared symmetries.
-
-    variance is one character per axis: 'd' (down, covariant) or
-    'u' (up, contravariant).  sym lists groups of axes that are
-    interchangeable.
-    """
-
-    values: np.ndarray
-    variance: tuple
-    sym: tuple = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-        if len(self.variance) != self.values.ndim:
-            raise ValueError("variance must have one flag per axis")
-
-    @property
-    def rank(self):
-        return self.values.ndim
-
-    def __getitem__(self, idx):
-        return self.values[idx]
-
-    def __array__(self, dtype=None, copy=None):
-        return np.asarray(self.values, dtype=dtype)
-
-    def symmetry_residual(self):
-        """Largest entrywise violation of the declared symmetries."""
-        worst = 0.0
-        for group in self.sym:
-            group = list(group)
-            for a in range(len(group)):
-                for b in range(a + 1, len(group)):
-                    axes = list(range(self.values.ndim))
-                    axes[group[a]], axes[group[b]] = axes[group[b]], axes[group[a]]
-                    worst = max(
-                        worst,
-                        float(np.abs(self.values - self.values.transpose(axes)).max()),
-                    )
-        return worst
-
-
-def raise_first(g, block):
-    """Raise the first index of `block` with a dense solve against g."""
-    block = np.asarray(block, dtype=float)
-    n = g.shape[0]
-    return np.linalg.solve(g, block.reshape(n, -1)).reshape(block.shape)
-
-
-def lower_first(g, block):
-    block = np.asarray(block, dtype=float)
-    n = g.shape[0]
-    return (g @ block.reshape(n, -1)).reshape(block.shape)
-
-
 def _as_jet(value, space):
     return value if isinstance(value, Jet) else Jet.constant(space, float(value))
 
@@ -186,22 +129,18 @@ def fundamental_tensor(metric, sample):
     """g_v in the coordinate basis; refuses degenerate samples."""
     blocks = metric_blocks(metric, sample.x, sample.v, order=2)
     check_nondegenerate(blocks.g, f"at x={sample.x.tolist()}, v={sample.v.tolist()}")
-    return TensorBlock(blocks.g, variance=("d", "d"), sym=((0, 1),))
+    return blocks.g
 
 
 def cartan_tensor(metric, sample):
     """C_v, the fully symmetric third fiber derivative of L / 4."""
-    blocks = metric_blocks(metric, sample.x, sample.v, order=3)
-    return TensorBlock(blocks.C, variance=("d", "d", "d"), sym=((0, 1, 2),))
+    return metric_blocks(metric, sample.x, sample.v, order=3).C
 
 
 def tensor_partials(metric, sample):
     """Base and fiber partials of g; dg_dy equals twice the Cartan tensor."""
     blocks = metric_blocks(metric, sample.x, sample.v, order=3)
-    return {
-        "dg_dx": TensorBlock(blocks.dg_dx, variance=("d", "d", "d"), sym=((0, 1),)),
-        "dg_dy": TensorBlock(blocks.dg_dy, variance=("d", "d", "d"), sym=((0, 1),)),
-    }
+    return {"dg_dx": blocks.dg_dx, "dg_dy": blocks.dg_dy}
 
 
 def composed_blocks(metric, x_jets, v_jets, n_outer):

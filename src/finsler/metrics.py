@@ -210,12 +210,29 @@ def _riemannian(matrix, dim=None):
     return MetricField("riemannian", n, L)
 
 
+def perturbed_riemannian(dim):
+    """I + 0.1 S(x) with S_ij = sin(x_i + 2 x_j) + sin(x_j + 2 x_i); the
+    standard non-flat Riemannian test metric, builtin riemannian_perturbation."""
+
+    def entry(i, j):
+        def f(x):
+            s = jets.sin(x[i] + 2 * x[j])
+            t = s if i == j else jets.sin(x[j] + 2 * x[i])
+            return (i == j) + 0.1 * (s + t)
+
+        return f
+
+    matrix = [[entry(i, j) for j in range(dim)] for i in range(dim)]
+    return MetricField("riemannian_perturbation", dim, _riemannian(matrix).func)
+
+
 _BUILTINS = {
     "euclidean": _euclidean,
     "minkowski_quartic": _minkowski_quartic,
     "sphere_round": _sphere_round,
     "hyperbolic": _hyperbolic,
     "funk": _funk,
+    "riemannian_perturbation": perturbed_riemannian,
 }
 
 

@@ -94,7 +94,7 @@ def test_criterion_3_extension_independence():
             w = rng.uniform(-1.0, 1.0, dim)
             if abs(np.linalg.det(np.stack([v0, u] + [rng.uniform(-1, 1, dim) for _ in range(dim - 2)]))) < 1e-2:
                 u = u + 0.5 * np.eye(dim)[0]
-            G = christoffel(m, s).Gamma.values
+            G = christoffel(m, s).Gamma
             udot = -np.einsum("kij,i,j->k", G, u, v0)
             acc2 = curve.acceleration(0.0)
             values = []

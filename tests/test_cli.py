@@ -219,6 +219,49 @@ def test_verify_refuses_bad_plans_with_one_error_line(argv, plan, field, tmp_pat
     assert err[0].startswith("error:") and field in err[0]
 
 
+@pytest.mark.parametrize(
+    "doc, field",
+    [
+        (["euclidean"], "JSON object"),
+        ({"metrics": 5}, "metrics"),
+        ({"metrics": ["euclidean"], "seed": None}, "seed"),
+        ({"metrics": ["euclidean"], "seed": 1.5}, "seed"),
+        ({"metrics": ["euclidean"], "seed": -1}, "seed"),
+        ({"metrics": ["euclidean"], "dim": None}, "dim"),
+        ({"metrics": ["euclidean"], "dim": 2.7}, "dim"),
+        ({"metrics": ["euclidean"], "dim": "3"}, "dim"),
+        ({"metrics": [{"builtin": "euclidean", "dim": True}]}, "dim"),
+        ({"metrics": [{"builtin": "funk", "radius": None}]}, "radius"),
+        ({"metrics": [{"builtin": "funk", "radius": float("inf")}]}, "radius"),
+        ({"metrics": [{"builtin": "riemannian", "matrix": 5}]}, "matrix"),
+        ({"metrics": [{"builtin": "riemannian", "matrix": [[None]]}]}, "matrix"),
+        ({"metrics": [{"file": 0}]}, "file"),
+        ({"metrics": [{"file": 5}]}, "file"),
+    ],
+)
+def test_verify_refuses_mistyped_plan_files(doc, field, tmp_path, capsys, monkeypatch):
+    def never(plan):
+        raise AssertionError("a mistyped plan reached the sweep")
+
+    monkeypatch.setattr("finsler.cli.run_verification", never)
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", "--plan", str(path)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error:") and field in err[0]
+
+
+@pytest.mark.parametrize("entry", ["riemannian_perturbation", {"builtin": "riemannian_perturbation"}])
+def test_verify_plan_names_riemannian_perturbation_as_a_builtin(entry, tmp_path):
+    plan = {"metrics": [entry], "samples": 2, "curve_samples": 1, "heavy_samples": 1, "seed": 5}
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(plan))
+    out = tmp_path / "report.json"
+    assert main(["verify", "--plan", str(path), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["metrics"] == ["riemannian_perturbation"]
+
+
 def test_domain_error_gives_single_diagnostic_and_exit_1(tmp_path, capsys):
     path = tmp_path / "funk.metric"
     path.write_text("dim = 2\nbuiltin = funk\n")

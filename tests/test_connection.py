@@ -2,6 +2,7 @@
 per-sweep connection memo."""
 
 import threading
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -30,9 +31,9 @@ from oracles import conformal_matrix, levi_civita, perturbation_matrix
 def test_euclidean_symbols_vanish():
     m = builtin("euclidean", dim=3)
     ce = christoffel(m, TangentSample([0.1, 0.2, 0.3], [1.0, -1.0, 0.5]))
-    np.testing.assert_allclose(ce.Gamma.values, 0.0, atol=1e-14)
-    np.testing.assert_allclose(ce.N.values, 0.0, atol=1e-14)
-    np.testing.assert_allclose(ce.gamma_lc.values, 0.0, atol=1e-14)
+    np.testing.assert_allclose(ce.Gamma, 0.0, atol=1e-14)
+    np.testing.assert_allclose(ce.N, 0.0, atol=1e-14)
+    np.testing.assert_allclose(ce.gamma_lc, 0.0, atol=1e-14)
 
 
 def test_riemannian_symbols_equal_levi_civita():
@@ -43,10 +44,10 @@ def test_riemannian_symbols_equal_levi_civita():
         v = rng.uniform(0.3, 1.2, 2)
         ce = christoffel(m, TangentSample(x, v))
         A, dA, _ = perturbation_matrix(x)
-        np.testing.assert_allclose(ce.Gamma.values, levi_civita(A, dA), atol=1e-11)
+        np.testing.assert_allclose(ce.Gamma, levi_civita(A, dA), atol=1e-11)
         # independence from the reference vector
         ce2 = christoffel(m, TangentSample(x, rng.uniform(0.3, 1.2, 2)))
-        np.testing.assert_allclose(ce2.Gamma.values, ce.Gamma.values, atol=1e-11)
+        np.testing.assert_allclose(ce2.Gamma, ce.Gamma, atol=1e-11)
 
 
 def test_sphere_symbols_equal_conformal_levi_civita():
@@ -54,7 +55,7 @@ def test_sphere_symbols_equal_conformal_levi_civita():
     x = np.array([0.3, -0.1])
     ce = christoffel(m, TangentSample(x, np.array([0.7, 0.4])))
     A, dA, _ = conformal_matrix(x, +1.0)
-    np.testing.assert_allclose(ce.Gamma.values, levi_civita(A, dA), atol=1e-12)
+    np.testing.assert_allclose(ce.Gamma, levi_civita(A, dA), atol=1e-12)
 
 
 def test_gamma_vv_contraction_drops_cartan_corrections():
@@ -62,8 +63,8 @@ def test_gamma_vv_contraction_drops_cartan_corrections():
     s = TangentSample([0.25, -0.3], [0.8, 0.4])
     ce = christoffel(m, s)
     n = 2
-    gamma_up = np.linalg.solve(ce.g, ce.gamma_lc.values.reshape(n, -1)).reshape(n, n, n)
-    lhs = np.einsum("kij,i,j->k", ce.Gamma.values, s.v, s.v)
+    gamma_up = np.linalg.solve(ce.g, ce.gamma_lc.reshape(n, -1)).reshape(n, n, n)
+    lhs = np.einsum("kij,i,j->k", ce.Gamma, s.v, s.v)
     rhs = np.einsum("kij,i,j->k", gamma_up, s.v, s.v)
     np.testing.assert_allclose(lhs, rhs, rtol=1e-10, atol=1e-13)
 
@@ -73,23 +74,23 @@ def test_nonlinear_connection_contraction():
     s = TangentSample([0.2, 0.1, -0.15], [0.6, -0.4, 0.7])
     ce = christoffel(m, s)
     np.testing.assert_allclose(
-        np.einsum("sji,i->sj", ce.Gamma.values, s.v), ce.N.values, rtol=1e-10, atol=1e-13
+        np.einsum("sji,i->sj", ce.Gamma, s.v), ce.N, rtol=1e-10, atol=1e-13
     )
 
 
 def test_symbols_homogeneous_of_degree_zero():
     m = builtin("funk", dim=2)
     s = TangentSample([0.3, -0.2], [0.9, 0.5])
-    base = christoffel(m, s).Gamma.values
+    base = christoffel(m, s).Gamma
     for lam in (0.1, 2.0, 10.0):
-        scaled = christoffel(m, TangentSample(s.x, lam * s.v)).Gamma.values
+        scaled = christoffel(m, TangentSample(s.x, lam * s.v)).Gamma
         np.testing.assert_allclose(scaled, base, rtol=1e-10, atol=1e-12)
 
 
 def test_lower_index_symmetry_is_structural():
     m = builtin("funk", dim=3)
     G = christoffel(m, TangentSample([0.1, 0.2, -0.1], [0.5, 0.6, -0.4])).Gamma
-    assert G.symmetry_residual() <= 1e-15
+    assert np.abs(G - G.transpose(0, 2, 1)).max() <= 1e-15
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4])
@@ -100,20 +101,39 @@ def test_partials_agree_with_plain_symbols_and_finite_differences(name, dim):
     v = np.array([0.7, 0.5, -0.4, 0.3][:dim])
     cp = christoffel_with_partials(m, x, v)
     ce = christoffel(m, TangentSample(x, v))
-    np.testing.assert_allclose(cp.Gamma, ce.Gamma.values, atol=1e-13)
-    np.testing.assert_allclose(cp.N, ce.N.values, atol=1e-13)
+    np.testing.assert_allclose(cp.Gamma, ce.Gamma, atol=1e-13)
+    np.testing.assert_allclose(cp.N, ce.N, atol=1e-13)
     np.testing.assert_allclose(cp.ginv, ce.ginv, atol=1e-13)
 
     h = 1e-6
     for p in range(dim):
         d = np.zeros(dim)
         d[p] = h
-        Gp = christoffel(m, TangentSample(x + d, v)).Gamma.values
-        Gm = christoffel(m, TangentSample(x - d, v)).Gamma.values
+        Gp = christoffel(m, TangentSample(x + d, v)).Gamma
+        Gm = christoffel(m, TangentSample(x - d, v)).Gamma
         np.testing.assert_allclose(cp.dGamma_dx[:, :, :, p], (Gp - Gm) / (2 * h), atol=1e-8)
-        Gp = christoffel(m, TangentSample(x, v + d)).Gamma.values
-        Gm = christoffel(m, TangentSample(x, v - d)).Gamma.values
+        Gp = christoffel(m, TangentSample(x, v + d)).Gamma
+        Gm = christoffel(m, TangentSample(x, v - d)).Gamma
         np.testing.assert_allclose(cp.dGamma_dy[:, :, :, p], (Gp - Gm) / (2 * h), atol=1e-8)
+
+
+@pytest.mark.parametrize("name", ["funk", "riemannian_perturbation"])
+def test_both_entry_points_return_one_record_with_its_blocks(name):
+    m = builtin(name, dim=3)
+    x, v = np.array([0.1, -0.2, 0.15]), np.array([0.6, 0.3, -0.5])
+    ce = christoffel(m, TangentSample(x, v))
+    cp = christoffel_with_partials(m, x, v)
+    for record, order in ((ce, 3), (cp, 4)):
+        want = metric_blocks(m, x, v, order=order)
+        for f in fields(want):
+            got, block = getattr(record.blocks, f.name), getattr(want, f.name)
+            if block is None:
+                assert got is None, f.name
+            else:
+                np.testing.assert_array_equal(got, block, err_msg=f.name)
+    np.testing.assert_allclose(cp.gamma_lc, ce.gamma_lc, atol=1e-13)
+    assert ce.dGamma_dx is None and ce.dGamma_dy is None
+    assert cp.dGamma_dx.shape == cp.dGamma_dy.shape == (3, 3, 3, 3)
 
 
 def test_nabla_is_directional_derivative_for_euclidean():
@@ -232,7 +252,7 @@ def test_memo_evaluates_each_sample_once_inside_the_scope():
         assert len(calls) == 3
     (fresh, _), _ = _evaluate_twice(metric)
     assert len(calls) == 7
-    np.testing.assert_array_equal(fresh.Gamma.values, ce1.Gamma.values)
+    np.testing.assert_array_equal(fresh.Gamma, ce1.Gamma)
 
 
 def test_memo_results_are_read_only_and_leave_inputs_writable():
@@ -241,7 +261,7 @@ def test_memo_results_are_read_only_and_leave_inputs_writable():
     with connection_memo():
         ce = christoffel(metric, TangentSample(x, v))
         cp = christoffel_with_partials(metric, x, v)
-    arrays = [ce.Gamma.values, ce.N.values, ce.gamma_lc.values, ce.g, ce.ginv, ce.cartan]
+    arrays = [ce.Gamma, ce.N, ce.gamma_lc, ce.g, ce.ginv, ce.cartan]
     arrays += [cp.Gamma, cp.dGamma_dx, cp.dGamma_dy, cp.N, cp.g, cp.blocks.dC_dy, cp.x]
     for a in arrays:
         assert not a.flags.writeable

@@ -118,7 +118,7 @@ def test_nabla_cartan_flagpole_slot_identity():
     lhs = nabla_cartan(m, V, X, Vslot, Z, W, x)
     from finsler.geometry import cartan_tensor
 
-    C = cartan_tensor(m, TangentSample(x, v0)).values
+    C = cartan_tensor(m, TangentSample(x, v0))
     nXV = nabla(m, V, X, V, x)
     rhs = -float(np.einsum("ijk,i,j,k->", C, nXV, Z.value(x), W.value(x)))
     assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-12)
@@ -165,10 +165,10 @@ def test_b_tensor_riemannian_and_symmetries():
 def test_hh_curvature_euclidean_zero_and_antisymmetry():
     m = builtin("euclidean", dim=2)
     R = hh_curvature(m, TangentSample([0.2, 0.3], [1.0, 2.0]))
-    np.testing.assert_allclose(R.values, 0.0, atol=1e-14)
+    np.testing.assert_allclose(R, 0.0, atol=1e-14)
 
     mf = builtin("funk", dim=3)
-    R = hh_curvature(mf, TangentSample([0.2, 0.0, -0.1], [0.5, 0.7, -0.2])).values
+    R = hh_curvature(mf, TangentSample([0.2, 0.0, -0.1], [0.5, 0.7, -0.2]))
     np.testing.assert_allclose(R, -R.transpose(0, 1, 3, 2), atol=1e-14)
 
 
@@ -179,7 +179,7 @@ def test_hh_curvature_matches_riemann_oracle():
     for _ in range(4):
         x = rng.uniform(-0.5, 0.5, 2)
         v = rng.uniform(0.3, 1.0, 2)
-        R4 = hh_curvature(m, TangentSample(x, v)).values
+        R4 = hh_curvature(m, TangentSample(x, v))
         A, dA, d2A = perturbation_matrix(x)
         R_oracle, _ = riemann_tensor(A, dA, d2A)
         np.testing.assert_allclose(R4, R_oracle, rtol=1e-9, atol=1e-11)
@@ -192,7 +192,7 @@ def test_jacobi_operator_constant_curvature_form():
     u = np.array([-0.4, 0.9])
     from finsler.geometry import fundamental_tensor
 
-    g = fundamental_tensor(m, s).values
+    g = fundamental_tensor(m, s)
     got = jacobi_operator(m, s, u)
     want = float(s.v @ g @ s.v) * u - float(s.v @ g @ u) * s.v
     np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-11)
@@ -241,7 +241,7 @@ def test_r_along_curve_constant_curvature_on_sphere_geodesic():
     x, v = geo.position(t0), geo.velocity(t0)
     from finsler.geometry import fundamental_tensor
 
-    g = fundamental_tensor(m, TangentSample(x, v)).values
+    g = fundamental_tensor(m, TangentSample(x, v))
     u = np.array([0.8, 0.15])
     got = r_along_curve(m, geo, t0, u, u)
     want = float(u @ g @ u) * v - float(v @ g @ u) * u  # K=1: R(v,u)u
@@ -291,7 +291,7 @@ def test_extension_independence_of_chart_field_realization():
         from finsler.connection import christoffel
         from finsler.verify import _extension_jacobian
 
-        G = christoffel(m, s).Gamma.values
+        G = christoffel(m, s).Gamma
         udot = -np.einsum("kij,i,j->k", G, u, v0)
         J = _extension_jacobian(rng, v0, u, curve.acceleration(0.0), udot, 2)
         V = extension_field(x0, v0, J, quad=rng.uniform(-1, 1, (2, 2, 2)))

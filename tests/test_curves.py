@@ -65,7 +65,7 @@ def test_curve_metric_derivative_identity():
     blocks = metric_blocks(m, x0, w0, order=3)
     from finsler.connection import christoffel
 
-    G = christoffel(m, TangentSample(x0, w0)).Gamma.values
+    G = christoffel(m, TangentSample(x0, w0)).Gamma
     vel = curve.velocity(t0)
     Xv, Yv = X.value(t0), Y.value(t0)
     dX, dY, dW = X.derivative(t0), Y.derivative(t0), W.derivative(t0)

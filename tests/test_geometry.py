@@ -5,12 +5,9 @@ import pytest
 
 from finsler.errors import DegenerateMetricError
 from finsler.geometry import (
-    TensorBlock,
     cartan_tensor,
     fundamental_tensor,
-    lower_first,
     metric_blocks,
-    raise_first,
     tensor_partials,
 )
 from finsler.jets import Jet, jet_space
@@ -64,7 +61,7 @@ def test_metric_blocks_match_single_jet_extraction():
 def test_euclidean_g_is_identity():
     m = builtin("euclidean", dim=3)
     g = fundamental_tensor(m, TangentSample([0.3, 1.0, -2.0], [0.5, 0.5, 1.0]))
-    np.testing.assert_allclose(g.values, np.eye(3), atol=1e-14)
+    np.testing.assert_allclose(g, np.eye(3), atol=1e-14)
 
 
 def test_riemannian_g_equals_quadratic_form():
@@ -75,17 +72,17 @@ def test_riemannian_g_equals_quadratic_form():
         v = rng.uniform(0.2, 1.0, 2)
         g = fundamental_tensor(m, TangentSample(x, v))
         A, _, _ = perturbation_matrix(x)
-        np.testing.assert_allclose(g.values, A, atol=1e-13)
+        np.testing.assert_allclose(g, A, atol=1e-13)
         # v-independence
         g2 = fundamental_tensor(m, TangentSample(x, 3.0 * v + 0.1))
-        np.testing.assert_allclose(g2.values, g.values, atol=1e-13)
+        np.testing.assert_allclose(g2, g, atol=1e-13)
 
 
 def test_quartic_g_against_finite_differences():
     m = builtin("minkowski_quartic", dim=2)
     x = np.array([0.0, 0.0])
     v = np.array([1.0, 1.0])
-    g = fundamental_tensor(m, TangentSample(x, v)).values
+    g = fundamental_tensor(m, TangentSample(x, v))
     h = 1e-4
     fd = np.empty((2, 2))
     for i in range(2):
@@ -110,14 +107,14 @@ def test_degenerate_g_rejected():
 def test_riemannian_cartan_vanishes():
     m = perturbed_riemannian(2)
     C = cartan_tensor(m, TangentSample([0.2, -0.4], [0.7, 0.3]))
-    np.testing.assert_allclose(C.values, 0.0, atol=1e-13)
+    np.testing.assert_allclose(C, 0.0, atol=1e-13)
 
 
 def test_cartan_flagpole_contraction_vanishes():
     for name in ("minkowski_quartic", "funk"):
         m = builtin(name, dim=2)
         s = TangentSample([0.2, -0.1], [0.9, 0.55])
-        C = cartan_tensor(m, s).values
+        C = cartan_tensor(m, s)
         contraction = np.einsum("i,ijk->jk", s.v, C)
         assert np.abs(contraction).max() <= 1e-10 * max(np.abs(C).max(), 1.0)
 
@@ -126,15 +123,16 @@ def test_cartan_is_homogeneous_of_degree_minus_one():
     m = builtin("minkowski_quartic", dim=2)
     x = np.array([0.0, 0.0])
     v = np.array([1.0, 1.0])
-    C1 = cartan_tensor(m, TangentSample(x, v)).values
-    C2 = cartan_tensor(m, TangentSample(x, 2.0 * v)).values
+    C1 = cartan_tensor(m, TangentSample(x, v))
+    C2 = cartan_tensor(m, TangentSample(x, 2.0 * v))
     np.testing.assert_allclose(C2, 0.5 * C1, rtol=1e-12)
 
 
 def test_cartan_full_symmetry():
     m = builtin("funk", dim=3)
     C = cartan_tensor(m, TangentSample([0.2, -0.1, 0.15], [0.4, 0.8, -0.3]))
-    assert C.symmetry_residual() <= 1e-12
+    worst = max(np.abs(C - C.transpose(p)).max() for p in ((1, 0, 2), (2, 1, 0), (0, 2, 1)))
+    assert worst <= 1e-12
 
 
 def test_euler_identity_g_vv_equals_L():
@@ -156,24 +154,24 @@ def test_euler_identity_g_vv_equals_L():
 def test_tensor_partials_euclidean_zero_riemannian_structure():
     m = builtin("euclidean", dim=2)
     parts = tensor_partials(m, TangentSample([0.4, 0.4], [1.0, 0.2]))
-    np.testing.assert_allclose(parts["dg_dx"].values, 0.0, atol=1e-14)
-    np.testing.assert_allclose(parts["dg_dy"].values, 0.0, atol=1e-14)
+    np.testing.assert_allclose(parts["dg_dx"], 0.0, atol=1e-14)
+    np.testing.assert_allclose(parts["dg_dy"], 0.0, atol=1e-14)
 
     mr = perturbed_riemannian(2)
     x = np.array([0.15, -0.3])
     parts = tensor_partials(mr, TangentSample(x, np.array([1.0, 0.4])))
     _, dA, _ = perturbation_matrix(x)
-    np.testing.assert_allclose(parts["dg_dx"].values, dA, atol=1e-12)
-    np.testing.assert_allclose(parts["dg_dy"].values, 0.0, atol=1e-13)
+    np.testing.assert_allclose(parts["dg_dx"], dA, atol=1e-12)
+    np.testing.assert_allclose(parts["dg_dy"], 0.0, atol=1e-13)
 
 
 def test_tensor_partials_funk_matches_cartan():
     m = builtin("funk", dim=2)
     s = TangentSample([0.3, 0.1], [0.5, -0.7])
     parts = tensor_partials(m, s)
-    C = cartan_tensor(m, s).values
+    C = cartan_tensor(m, s)
     np.testing.assert_allclose(
-        parts["dg_dy"].values, 2.0 * np.einsum("kij->ijk", C), atol=1e-10
+        parts["dg_dy"], 2.0 * np.einsum("kij->ijk", C), atol=1e-10
     )
 
 
@@ -191,22 +189,6 @@ def test_dg_dx_against_finite_differences_on_funk():
         np.testing.assert_allclose(dg[:, :, k], (gp - gm) / (2 * h), atol=1e-8)
 
 
-def test_tensor_block_symmetry_and_index_roundtrip():
-    rng = np.random.default_rng(2)
-    sym = rng.uniform(-1, 1, (3, 3))
-    sym = sym + sym.T
-    block = TensorBlock(sym, variance=("d", "d"), sym=((0, 1),))
-    assert block.symmetry_residual() == 0.0
-    assert block.rank == 2
-
-    m = builtin("funk", dim=3)
-    s = TangentSample([0.2, 0.1, -0.2], [0.5, -0.4, 0.8])
-    g = fundamental_tensor(m, s).values
-    T = rng.uniform(-1, 1, (3, 3, 3))
-    roundtrip = lower_first(g, raise_first(g, T))
-    np.testing.assert_allclose(roundtrip, T, rtol=1e-10, atol=1e-12)
-
-
 def test_sign_indefinite_metric_through_expression_path():
     # L of any sign is allowed when the fundamental tensor stays nondegenerate
     from finsler.metrics import parse_metric
@@ -214,12 +196,12 @@ def test_sign_indefinite_metric_through_expression_path():
     m = parse_metric("dim = 2\nname = split\nL = 2*v1*v2\ndomain = v1*v2\n")
     s = TangentSample([0.3, -0.4], [1.0, 0.5])
     g = fundamental_tensor(m, s)
-    np.testing.assert_allclose(g.values, [[0.0, 1.0], [1.0, 0.0]], atol=1e-14)
+    np.testing.assert_allclose(g, [[0.0, 1.0], [1.0, 0.0]], atol=1e-14)
     assert m.value(s.x, s.v) == pytest.approx(1.0)
     # flat: the symbols and flag curvature vanish identically
     from finsler.connection import christoffel
     from finsler.curvature import flag_curvature
 
     ce = christoffel(m, s)
-    np.testing.assert_allclose(ce.Gamma.values, 0.0, atol=1e-14)
+    np.testing.assert_allclose(ce.Gamma, 0.0, atol=1e-14)
     assert flag_curvature(m, s, [1.0, -0.5]) == pytest.approx(0.0, abs=1e-14)

@@ -209,7 +209,7 @@ def test_parse_expression_file_with_comments():
     from finsler.geometry import fundamental_tensor
 
     g = fundamental_tensor(m, TangentSample([0.0, 0.0], [1.0, 1.0]))
-    np.testing.assert_allclose(g.values, np.eye(2), atol=1e-13)
+    np.testing.assert_allclose(g, np.eye(2), atol=1e-13)
 
 
 def test_parse_quartic_expression_homogeneity():
@@ -230,6 +230,15 @@ def test_parse_riemannian_matrix_file():
     text = "dim = 2\nbuiltin = riemannian\na11 = 1 + x2^2\na12 = 0.1\na22 = 2\n"
     m = parse_metric(text)
     assert m.value([0.0, 1.0], [1.0, 0.0]) == pytest.approx(2.0)
+
+
+def test_parse_riemannian_perturbation_builtin_file():
+    m = parse_metric("dim = 3\nbuiltin = riemannian_perturbation\n")
+    assert (m.name, m.dim) == ("riemannian_perturbation", 3)
+    x, v = [0.1, -0.3, 0.2], [0.5, 0.4, -0.7]
+    assert m.value(x, v) == perturbed_riemannian(3).value(x, v)
+    with pytest.raises(ValueError, match="no radius"):
+        builtin("riemannian_perturbation", dim=2, radius=1.0)
 
 
 def test_parse_errors():

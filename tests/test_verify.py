@@ -160,6 +160,22 @@ def test_connection_memo_leaves_reports_byte_identical(dim, monkeypatch):
     assert run_verification(plan()).to_json() == memoized
 
 
+def test_sweep_takes_order_three_blocks_from_the_christoffel_records(monkeypatch):
+    orders = []
+    real = verify.metric_blocks
+
+    def counting(metric, x, v, order):
+        orders.append(order)
+        return real(metric, x, v, order=order)
+
+    monkeypatch.setattr(verify, "metric_blocks", counting)
+    plan = VerificationPlan(
+        metrics=[builtin("funk", dim=2)], samples=3, curve_samples=2, heavy_samples=1, seed=7
+    )
+    assert run_verification(plan).passed
+    assert orders and set(orders) == {2}
+
+
 def test_plan_tolerance_lookup():
     plan = VerificationPlan(metrics=[builtin("euclidean", dim=2)])
     assert plan.tolerance("koszul") == 1e-9
