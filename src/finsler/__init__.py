@@ -14,7 +14,7 @@ from .errors import (
     IntegrationError,
     ParseError,
 )
-from .jets import Jet, JetSpace, jet_space, seed, extract
+from .jets import Jet, JetSpace, jet_space, partials, seed
 from .metrics import (
     HomogeneityReport,
     MetricField,

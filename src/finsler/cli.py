@@ -65,6 +65,14 @@ def _resolve_metric(name_or_path, dim):
     )
 
 
+def _check_lengths(metric, args, flags):
+    """Refuse a vector flag whose length is not the metric's dimension."""
+    for flag in flags:
+        vec = getattr(args, flag)
+        if vec is not None and len(vec) != metric.dim:
+            raise FinslerError(f"--{flag} has {len(vec)} entries, metric {metric.name!r} has dim {metric.dim}")
+
+
 def _write_text(path, text):
     if path is None or path == "-":
         sys.stdout.write(text)
@@ -77,6 +85,7 @@ def _write_text(path, text):
 
 def _cmd_curvature(args):
     metric = _resolve_metric(args.metric, len(args.x))
+    _check_lengths(metric, args, ("x", "v", "u", "w"))
     sample = TangentSample(args.x, args.v)
     ce = christoffel(metric, sample)
     record = {
@@ -103,6 +112,7 @@ def _cmd_curvature(args):
 
 def _cmd_geodesic(args):
     metric = _resolve_metric(args.metric, len(args.x0))
+    _check_lengths(metric, args, ("x0", "v0"))
     curve = geodesic_shoot(metric, args.x0, args.v0, args.T, tol=args.tol)
     n = metric.dim
     buf = io.StringIO()
@@ -216,6 +226,9 @@ def _cmd_table(args):
     # bare builtin names default to dim 2 unless --v says otherwise
     dim = len(args.v) if args.v is not None else 2
     metric = _resolve_metric(args.metric, dim)
+    _check_lengths(metric, args, ("v", "u"))
+    if len(args.box) != 2:
+        raise FinslerError(f"--box needs 2 entries (lo,hi), got {len(args.box)}")
     n = metric.dim
     v = args.v if args.v is not None else np.eye(n)[0]
     u = args.u if args.u is not None else np.eye(n)[min(1, n - 1)]

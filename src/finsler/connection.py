@@ -29,7 +29,7 @@ import numpy as np
 from . import exprs
 from .errors import DomainError
 from .geometry import SampleBlocks, check_nondegenerate, metric_blocks
-from .jets import Jet, jet_space
+from .jets import partials, seed
 from .metrics import TangentSample
 
 
@@ -60,41 +60,17 @@ class VectorFieldOnChart:
         x = [float(c) for c in x]
         return np.array([float(f(x)) for f in self.funcs])
 
-    def jets(self, x, order):
-        space = jet_space(self.dim, order)
-        xj = [Jet.variable(space, float(x[i]), i) for i in range(self.dim)]
-        out = []
-        for f in self.funcs:
-            r = f(xj)
-            out.append(r if isinstance(r, Jet) else Jet.constant(space, float(r)))
-        return out
+    def _partials(self, x, order):
+        xj = seed(x, order)
+        return partials(xj[0].space, [f(xj) for f in self.funcs])
 
     def jacobian(self, x):
         """J[k, i] = d V^k / d x^i."""
-        comps = self.jets(x, 1)
-        n = self.dim
-        J = np.empty((n, n))
-        for k in range(n):
-            for i in range(n):
-                mono = tuple(1 if a == i else 0 for a in range(n))
-                J[k, i] = comps[k].extract(mono)
-        return J
+        return self._partials(x, 1)[1]
 
     def derivatives2(self, x):
         """(value, jacobian, hessian[k, i, j] = d^2 V^k / dx^i dx^j)."""
-        comps = self.jets(x, 2)
-        n = self.dim
-        val = np.array([c.value for c in comps])
-        J = np.empty((n, n))
-        H = np.empty((n, n, n))
-        for k in range(n):
-            for i in range(n):
-                ei = tuple(1 if a == i else 0 for a in range(n))
-                J[k, i] = comps[k].extract(ei)
-                for j in range(n):
-                    eij = tuple((a == i) + (a == j) for a in range(n))
-                    H[k, i, j] = comps[k].extract(eij)
-        return val, J, H
+        return tuple(self._partials(x, 2))
 
 
 @dataclass(frozen=True)

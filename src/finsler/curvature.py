@@ -30,7 +30,7 @@ from .connection import (
 )
 from .errors import DomainError
 from .geometry import composed_blocks
-from .jets import Jet, jet_space
+from .jets import seed
 from .metrics import TangentSample
 
 
@@ -261,18 +261,8 @@ def r_along_curve_direct(metric, curve, t, u, w, rng=None):
     else:
         lam_ss, w_t, w_s, w_ts, w_tt, w_ss = rng.uniform(-1.0, 1.0, (6, n))
 
-    space = jet_space(2 + 2 * n, 4)
-
-    def mono(*slots):
-        """The monomial over (t, s, x, y) with the given slots, as a jet."""
-        m = [0] * space.nvars
-        for k in slots:
-            m[k] += 1
-        c = np.zeros(space.size)
-        c[space.index[tuple(m)]] = 1.0
-        return Jet(space, c)
-
-    t1, s1, tt, ts, ss = mono(0), mono(1), mono(0, 0), mono(0, 1), mono(1, 1)
+    t1, s1, *xy = seed(np.zeros(2 + 2 * n), 4)
+    tt, ts, ss = t1 * t1, t1 * s1, s1 * s1
     x_jets, v_jets = [], []
     for i in range(n):
         lam = (
@@ -284,8 +274,8 @@ def r_along_curve_direct(metric, curve, t, u, w, rng=None):
             + ss * (0.5 * lam_ss[i])
         )
         lam_t = v0[i] + t1 * acc2[i] + s1 * udot[i]
-        x_jets.append(lam + mono(2 + i))
-        v_jets.append(lam_t + mono(2 + n + i))
+        x_jets.append(lam + xy[i])
+        v_jets.append(lam_t + xy[n + i])
     blocks = composed_blocks(metric, x_jets, v_jets, n_outer=2)
     g, g_t = blocks["g"]
     dg, dg_t = blocks["dg_dx"]

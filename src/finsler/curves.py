@@ -16,17 +16,17 @@ from scipy.integrate import solve_ivp
 from .connection import christoffel
 from .errors import DomainError, IntegrationError
 from .geometry import metric_blocks
-from .jets import Jet, jet_space
+from .jets import partials, seed
 from .metrics import TangentSample
 
 
-def _component_jets(func, dim, values, order):
-    space = jet_space(len(values), order)
-    args = [Jet.variable(space, float(v), i) for i, v in enumerate(values)]
-    out = func(*args) if len(values) > 1 else func(args[0])
+def _component_partials(func, dim, values, order):
+    """partials() of the `dim` components func returns, seeded at `values`."""
+    args = seed(values, order)
+    out = func(*args)
     if len(out) != dim:
         raise ValueError(f"expected {dim} components, got {len(out)}")
-    return [c if isinstance(c, Jet) else Jet.constant(space, float(c)) for c in out]
+    return partials(args[0].space, out)
 
 
 class CurvePath:
@@ -55,12 +55,10 @@ class CurvePath:
             return np.array([float(c) for c in func(float(t))])
 
         def vel(t):
-            comps = _component_jets(func, n, [t], 2)
-            return np.array([c.extract((1,)) for c in comps])
+            return _component_partials(func, n, [t], 2)[1][:, 0]
 
         def acc(t):
-            comps = _component_jets(func, n, [t], 2)
-            return np.array([c.extract((2,)) for c in comps])
+            return _component_partials(func, n, [t], 2)[2][:, 0, 0]
 
         return cls(domain, pos, vel, acc, func=func)
 
@@ -102,8 +100,7 @@ class FieldAlongCurve:
             return np.array([float(c) for c in func(float(t))])
 
         def derivative(t):
-            comps = _component_jets(func, n, [t], 1)
-            return np.array([c.extract((1,)) for c in comps])
+            return _component_partials(func, n, [t], 1)[1][:, 0]
 
         return cls(value, derivative)
 
@@ -255,31 +252,20 @@ class TwoParamMap:
         )
         self.dim = len(probe) if dim is None else dim
 
-    def jets(self, t, s):
-        """Component 2-jets in (t, s)."""
-        return _component_jets(lambda tj, sj: self.func(tj, sj), self.dim, [t, s], 2)
-
     def value(self, t, s):
         return np.array([float(c) for c in self.func(float(t), float(s))])
 
     def partials(self, t, s):
         """dict with value, d_t, d_s, d_tt, d_ts, d_ss at (t, s)."""
-        comps = self.jets(t, s)
-        pick = lambda mono: np.array([c.extract(mono) for c in comps])
+        value, grad, hess = _component_partials(self.func, self.dim, [t, s], 2)
         return {
-            "value": np.array([c.value for c in comps]),
-            "d_t": pick((1, 0)),
-            "d_s": pick((0, 1)),
-            "d_tt": pick((2, 0)),
-            "d_ts": pick((1, 1)),
-            "d_ss": pick((0, 2)),
+            "value": value,
+            "d_t": grad[:, 0],
+            "d_s": grad[:, 1],
+            "d_tt": hess[:, 0, 0],
+            "d_ts": hess[:, 0, 1],
+            "d_ss": hess[:, 1, 1],
         }
-
-    def t_curve(self, s):
-        """The t-parameter curve at fixed s."""
-        return CurvePath.from_function(
-            lambda t: self.func(t, s), self.t_range, dim=self.dim
-        )
 
 
 def mixed_derivative_commutation(metric, lam, V, t, s):

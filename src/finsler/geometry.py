@@ -54,24 +54,22 @@ def _block_gather(n, order, n_outer=0):
     (n_outer parameters, x, y) holds: `coeffs[positions] * scales` is the
     block.  With n_outer > 0 the blocks gain a trailing axis holding the
     value and then its derivative along each parameter."""
-    space = jet_space(n_outer + 2 * n, order)
-    extra = (n_outer + 1,) if n_outer else ()
-    table = []
+    tables = jet_space(n_outer + 2 * n, order).partial_tables
+    x, y = slice(n_outer, n_outer + n), slice(n_outer + n, n_outer + 2 * n)
+    out = []
     for name, factor, fiber, base in _BLOCKS:
-        if fiber + base + (n_outer > 0) > order:
+        k = fiber + base
+        if k + (n_outer > 0) > order:
             continue
-        pos = np.empty((n,) * (fiber + base) + extra, dtype=np.intp)
-        for idx in np.ndindex(pos.shape):
-            mono = [0] * space.nvars
-            for a in idx[:fiber]:
-                mono[n_outer + n + a] += 1
-            for a in idx[fiber : fiber + base]:
-                mono[n_outer + a] += 1
-            if extra and idx[-1]:
-                mono[idx[-1] - 1] += 1
-            pos[idx] = space.index[tuple(mono)]
-        table.append((name, pos, factor * space.factorials[pos]))
-    return tuple(table)
+        slots = (y,) * fiber + (x,) * base
+        pos, scale = (a[slots] for a in tables[k])
+        if n_outer:
+            slots += (slice(n_outer),)
+            pos, scale = (
+                np.concatenate([a[..., None], d[slots]], -1) for a, d in zip((pos, scale), tables[k + 1])
+            )
+        out.append((name, np.ascontiguousarray(pos), factor * scale))
+    return tuple(out)
 
 
 def _gather_blocks(LJ, n, n_outer=0):

@@ -6,15 +6,15 @@ arithmetic is exact truncated Taylor arithmetic, so for polynomial inputs of
 degree <= order every extracted partial derivative is exact up to roundoff.
 
 Coefficients are stored densely, indexed by graded-lexicographic multi-index.
-The coefficient of the monomial ``x^alpha`` is ``(d^alpha f)(0) / alpha!``,
-i.e. :meth:`Jet.extract` multiplies by the multi-index factorial.
+The coefficient of ``x^alpha`` is ``(d^alpha f)(0) / alpha!``; only this
+module knows that layout, and :func:`partials` reads derivatives out of it.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from numbers import Real
 
 import numpy as np
@@ -41,11 +41,6 @@ def _monomials(nvars, order):
     return tuple(out)
 
 
-def _subindices(mono):
-    """All multi-indices alpha with alpha <= mono componentwise."""
-    return itertools.product(*(range(d + 1) for d in mono))
-
-
 class JetSpace:
     """Shared monomial and multiplication tables for one (nvars, order) pair.
 
@@ -62,14 +57,13 @@ class JetSpace:
         self.monomials = _monomials(nvars, order)
         self.size = len(self.monomials)
         self.index = {m: i for i, m in enumerate(self.monomials)}
-        self.degrees = np.array([sum(m) for m in self.monomials])
         self.factorials = np.array(
             [math.prod(math.factorial(d) for d in m) for m in self.monomials],
             dtype=float,
         )
         rows_i, rows_j, rows_k = [], [], []
         for k_pos, gamma in enumerate(self.monomials):
-            for alpha in _subindices(gamma):
+            for alpha in itertools.product(*(range(d + 1) for d in gamma)):
                 beta = tuple(g - a for g, a in zip(gamma, alpha))
                 rows_i.append(self.index[alpha])
                 rows_j.append(self.index[beta])
@@ -77,6 +71,20 @@ class JetSpace:
         self._mul_i = np.array(rows_i)
         self._mul_j = np.array(rows_j)
         self._mul_k = np.array(rows_k)
+
+    @cached_property
+    def partial_tables(self):
+        """(positions, scales) for k = 0..order: `coeffs[positions] * scales`
+        is the k-th partial tensor of a jet, of shape (nvars,)*k."""
+        # step[p, a]: position of monomial p times x_a (0 past the order)
+        step = np.array(
+            [[self.index.get(m[:a] + (m[a] + 1,) + m[a + 1 :], 0) for a in range(self.nvars)]
+             for m in self.monomials]
+        )
+        positions = [np.zeros((), dtype=np.intp)]
+        while len(positions) <= self.order:
+            positions.append(step[positions[-1]])
+        return tuple((pos, self.factorials[pos]) for pos in positions)
 
     def __repr__(self):
         return f"JetSpace(nvars={self.nvars}, order={self.order})"
@@ -298,8 +306,19 @@ def seed(values, order):
     return [Jet.variable(space, v, i) for i, v in enumerate(values)]
 
 
-def extract(jet, multi_index):
-    return jet.extract(multi_index)
+def partials(space, components):
+    """[values, gradients, Hessians, ...] of the m `components` up to the
+    order of `space`, entry k shaped (m,) + (nvars,)*k.  A component is a
+    jet of `space` or a plain number, which counts as a constant."""
+    rows = []
+    for c in components:
+        if not isinstance(c, Jet):
+            c = Jet.constant(space, c)
+        elif c.space is not space:
+            raise ValueError("cannot mix jets from different spaces")
+        rows.append(c.coeffs)
+    coeffs = np.array(rows)
+    return [coeffs.take(pos, axis=1) * scale for pos, scale in space.partial_tables]
 
 
 # Generic scalar functions usable on floats and jets alike, so expression

@@ -148,9 +148,10 @@ def _hyperbolic(dim):
 
 def _funk(dim, radius=1.0):
     # Funk metric of the ball |x| < radius, squared to be 2-homogeneous.
-    r2 = float(radius) ** 2
-    if r2 <= 0:
-        raise ValueError("funk radius must be positive")
+    radius = float(radius)
+    if not (np.isfinite(radius) and radius > 0):
+        raise ValueError(f"funk radius must be a finite positive number, got {radius!r}")
+    r2 = radius**2
 
     def L(x, v):
         one = r2 - _dot(x, x)
@@ -241,20 +242,23 @@ def builtin(name, *, dim=None, matrix=None, radius=None):
 
     riemannian takes `matrix` (entries: numbers, expression strings in x1..xn,
     or callables); funk takes an optional `radius`; the others take `dim`.
+    A parameter the named metric does not take is refused.
     """
+    if name != "riemannian" and name not in _BUILTINS:
+        known = ", ".join(sorted(_BUILTINS) + ["riemannian"])
+        raise ValueError(f"unknown builtin metric {name!r} (known: {known})")
+    if matrix is not None and name != "riemannian":
+        raise ValueError(f"builtin {name!r} takes no matrix")
+    if radius is not None and name != "funk":
+        raise ValueError(f"builtin {name!r} takes no radius")
     if name == "riemannian":
         if matrix is None:
             raise ValueError("riemannian needs a matrix")
         return _riemannian(matrix, dim)
-    if name not in _BUILTINS:
-        known = ", ".join(sorted(_BUILTINS) + ["riemannian"])
-        raise ValueError(f"unknown builtin metric {name!r} (known: {known})")
     if dim is None:
         raise ValueError(f"builtin {name!r} needs dim")
     if name == "funk":
         return _funk(dim, radius if radius is not None else 1.0)
-    if radius is not None:
-        raise ValueError(f"builtin {name!r} takes no radius")
     return _BUILTINS[name](dim)
 
 
@@ -287,7 +291,8 @@ def parse_metric(text):
             raise ParseError(f"line {lineno}: duplicate key {key!r}")
         pairs[key] = value
 
-    unknown = set(pairs) - _FILE_KEYS - {k for k in pairs if _MATRIX_KEY.fullmatch(k)}
+    matrix_keys = sorted(k for k in pairs if _MATRIX_KEY.fullmatch(k))
+    unknown = set(pairs) - _FILE_KEYS - set(matrix_keys)
     if unknown:
         raise ParseError(f"unknown keys: {', '.join(sorted(unknown))}")
     if "dim" not in pairs:
@@ -304,11 +309,20 @@ def parse_metric(text):
     if has_builtin == has_expr:
         raise ParseError("exactly one of 'builtin' or 'L' must be given")
 
+    bname = pairs.get("builtin")
+    owner = f"builtin = {bname}" if has_builtin else "an L expression metric"
+    if matrix_keys and bname != "riemannian":
+        raise ParseError(f"{owner} takes no matrix keys ({', '.join(matrix_keys)}), only riemannian does")
+    if "radius" in pairs and bname != "funk":
+        raise ParseError(f"{owner} takes no radius, only funk does")
+
     if has_builtin:
-        bname = pairs["builtin"]
         kwargs = {"dim": dim}
         if "radius" in pairs:
-            kwargs["radius"] = float(pairs["radius"])
+            try:
+                kwargs["radius"] = float(pairs["radius"])
+            except ValueError:
+                raise ParseError(f"radius must be a finite positive number, got {pairs['radius']!r}") from None
         if bname == "riemannian":
             kwargs["matrix"] = _matrix_from_pairs(pairs, dim)
         metric = builtin(bname, **kwargs)

@@ -262,6 +262,66 @@ def test_verify_plan_names_riemannian_perturbation_as_a_builtin(entry, tmp_path)
     assert json.loads(out.read_text())["metrics"] == ["riemannian_perturbation"]
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["curvature", "--x", "0,0", "--v", "1,0", "--u", "0,1,4"], "--u"),
+        (["curvature", "--x", "0,0", "--v", "1,0", "--u", "0,1", "--w", "1,2,3"], "--w"),
+        (["table", "--v", "1,0", "--u", "1,0,0"], "--u"),
+        (["table", "--box", "1,2,3"], "--box"),
+        (["table", "--box", "0.5"], "--box"),
+        (["geodesic", "--x0", "0,0", "--v0", "1,0,0", "--T", "1"], "--v0"),
+    ],
+)
+def test_vector_lengths_must_match_the_metric(argv, flag, capsys):
+    assert main([argv[0], "--metric", "euclidean", *argv[1:]]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error:") and flag in err[0]
+
+
+def test_vector_length_is_checked_against_a_metric_file(euclidean_file, capsys):
+    argv = ["curvature", "--metric", euclidean_file, "--x", "0,0,0", "--v", "1,0,0", "--u", "0,1,0"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "--x has 3 entries" in err[0]
+
+
+@pytest.mark.parametrize(
+    "text, field",
+    [
+        ("dim = 2\nbuiltin = euclidean\na11 = 7\n", "matrix keys"),
+        ("dim = 2\nL = v1^2 + v2^2\nradius = 3\n", "radius"),
+        ("dim = 2\nbuiltin = funk\nradius = -1\n", "radius"),
+        ("dim = 2\nbuiltin = funk\nradius = inf\n", "radius"),
+        ("dim = 2\nbuiltin = funk\nradius = abc\n", "radius"),
+    ],
+)
+def test_metric_file_parameters_are_refused_with_one_error_line(text, field, tmp_path, capsys):
+    path = tmp_path / "bad.metric"
+    path.write_text(text)
+    assert main(["curvature", "--metric", str(path), "--x", "0,0", "--v", "1,0", "--u", "0,1"]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error:") and field in err[0]
+
+
+@pytest.mark.parametrize(
+    "entry, field",
+    [
+        ({"builtin": "euclidean", "matrix": [[7, 0], [0, 7]]}, "matrix"),
+        ({"builtin": "riemannian", "matrix": [[1, 0], [0, 1]], "radius": 5.0}, "radius"),
+    ],
+)
+def test_plan_entry_parameters_the_metric_does_not_take(entry, field, tmp_path, capsys):
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps({"metrics": [entry]}))
+    assert main(["verify", "--plan", str(path)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error:") and field in err[0]
+
+
 def test_domain_error_gives_single_diagnostic_and_exit_1(tmp_path, capsys):
     path = tmp_path / "funk.metric"
     path.write_text("dim = 2\nbuiltin = funk\n")

@@ -302,3 +302,13 @@ def test_memo_is_not_shared_with_other_threads():
         worker.join(timeout=30)
     assert not worker.is_alive() and seen == [2]
     assert len(calls) == 6
+
+
+def test_constant_field_has_zero_jacobian_and_hessian():
+    V = VectorFieldOnChart.constant([1.0, 2.0])
+    x = np.array([0.3, -0.1])
+    np.testing.assert_array_equal(V.jacobian(x), np.zeros((2, 2)))
+    value, J, H = V.derivatives2(x)
+    np.testing.assert_array_equal(value, [1.0, 2.0])
+    np.testing.assert_array_equal(J, np.zeros((2, 2)))
+    np.testing.assert_array_equal(H, np.zeros((2, 2, 2)))

@@ -28,6 +28,20 @@ def test_curve_velocity_and_acceleration_from_jets():
     np.testing.assert_allclose(curve.acceleration(0.5), [2.0, 0.0])
 
 
+def test_constant_curve_and_field_have_zero_derivatives():
+    still = CurvePath.from_function(lambda t: [0.4, -0.2], (0.0, 1.0))
+    np.testing.assert_array_equal(still.velocity(0.5), [0.0, 0.0])
+    np.testing.assert_array_equal(still.acceleration(0.5), [0.0, 0.0])
+    X = FieldAlongCurve.from_function(lambda t: [1.0, 2.0])
+    np.testing.assert_array_equal(X.derivative(0.3), [0.0, 0.0])
+
+
+def test_curve_component_count_must_match_dim():
+    curve = CurvePath.from_function(lambda t: [t, t * t], (0.0, 1.0), dim=3)
+    with pytest.raises(ValueError, match="expected 3 components"):
+        curve.velocity(0.5)
+
+
 def test_straight_line_constant_field_derivative_vanishes():
     m = builtin("euclidean", dim=2)
     line = CurvePath.from_function(lambda t: [t, 2 * t], (0.0, 1.0))

@@ -8,7 +8,8 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finsler.jets import Jet, seed
+from finsler import jets
+from finsler.jets import Jet, jet_space, partials, seed
 
 
 def test_seed_square_matches_expansion():
@@ -190,3 +191,35 @@ def test_division_roundtrip(a):
     ja, jb = seed([a, 2 * a + 0.5], 3)
     f = ja * jb + 1
     np.testing.assert_allclose(((f / jb) * jb).coeffs, f.coeffs, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+@pytest.mark.parametrize("nvars", [1, 2, 3, 4, 5, 6])
+def test_partials_equal_extract_entry_for_entry(nvars, order):
+    rng = np.random.default_rng(10 * nvars + order)
+    xs = seed(rng.uniform(-0.8, 0.8, nvars), order)
+    lin = sum(float(c) * x for c, x in zip(rng.uniform(-1, 1, nvars), xs))
+    comps = [jets.exp(lin), xs[0] * xs[-1] * lin + 0.5, 2.5, np.float64(-1.25), 3]
+    out = partials(xs[0].space, comps)
+    assert len(out) == order + 1
+    for k, block in enumerate(out):
+        assert block.shape == (len(comps),) + (nvars,) * k
+        for idx in np.ndindex(block.shape):
+            mono = np.bincount(idx[1:], minlength=nvars)
+            c = comps[idx[0]]
+            want = c.extract(mono) if isinstance(c, Jet) else (float(c) if k == 0 else 0.0)
+            assert block[idx] == want
+
+
+def test_partials_of_only_constants_need_the_space_alone():
+    space = jet_space(3, 2)
+    value, grad, hess = partials(space, [1.0, 2, np.float64(-3.5)])
+    np.testing.assert_array_equal(value, [1.0, 2.0, -3.5])
+    assert grad.shape == (3, 3) and not grad.any()
+    assert hess.shape == (3, 3, 3) and not hess.any()
+
+
+def test_partials_refuse_jets_of_another_space():
+    (t,) = seed([1.0], 2)
+    with pytest.raises(ValueError, match="different spaces"):
+        partials(jet_space(1, 3), [t])

@@ -260,6 +260,44 @@ def test_parse_errors():
         parse_metric("dim = 2\nbuiltin = riemannian\na12 = 1\n")
 
 
+@pytest.mark.parametrize(
+    "text, match",
+    [
+        ("builtin = euclidean\na11 = 7\n", "euclidean takes no matrix keys \\(a11\\)"),
+        ("L = v1^2 + v2^2\na11 = 7\na21 = 1\n", "L expression metric takes no matrix keys \\(a11, a21\\)"),
+        ("builtin = funk\na22 = 2\n", "funk takes no matrix keys"),
+        ("L = v1^2 + v2^2\nradius = 3\n", "L expression metric takes no radius"),
+        ("builtin = riemannian\na11 = 1\na22 = 1\nradius = 3\n", "riemannian takes no radius"),
+        ("builtin = sphere_round\nradius = 3\n", "sphere_round takes no radius"),
+        ("builtin = funk\nradius = abc\n", "radius must be a finite positive number, got 'abc'"),
+    ],
+)
+def test_parse_refuses_keys_the_metric_does_not_take(text, match):
+    with pytest.raises(ParseError, match=match):
+        parse_metric("dim = 2\n" + text)
+
+
+@pytest.mark.parametrize("radius", ["-1", "0", "nan", "inf", "-inf"])
+def test_funk_radius_must_be_finite_and_positive(radius):
+    with pytest.raises(ValueError, match="finite positive"):
+        parse_metric(f"dim = 2\nbuiltin = funk\nradius = {radius}\n")
+    with pytest.raises(ValueError, match="finite positive"):
+        builtin("funk", dim=2, radius=float(radius))
+
+
+@pytest.mark.parametrize(
+    "name, kwargs, match",
+    [
+        ("euclidean", {"dim": 2, "matrix": [[7, 0], [0, 7]]}, "takes no matrix"),
+        ("funk", {"dim": 2, "matrix": [[7, 0], [0, 7]]}, "takes no matrix"),
+        ("riemannian", {"matrix": [[1, 0], [0, 1]], "radius": 5.0}, "takes no radius"),
+    ],
+)
+def test_builtin_refuses_parameters_the_metric_does_not_take(name, kwargs, match):
+    with pytest.raises(ValueError, match=match):
+        builtin(name, **kwargs)
+
+
 def test_load_metric_from_disk(tmp_path):
     path = tmp_path / "metric.txt"
     path.write_text("dim = 2\nbuiltin = funk\nradius = 1.0\n")
