@@ -25,6 +25,7 @@ from .connection import (
     christoffel_core,
     christoffel_with_partials,
     inverse_with_tangent,
+    nabla,
     tangent_einsum,
     tangent_map,
 )
@@ -187,8 +188,6 @@ def nabla_cartan(metric, V, X, Y, Z, W, x):
 def b_tensor(metric, V, X, Y, Z, W, x):
     """B^V(X,Y,Z,W) = nabla_Y C(nabla_X V, Z, W) - nabla_X C(nabla_Y V, Z, W)
     + C(R^V(Y,X)V, Z, W)."""
-    from .connection import nabla
-
     block, cp = nabla_cartan_block(metric, V, x)
     Zv, Wv = Z.value(x), W.value(x)
     nxV = nabla(metric, V, X, V, x)

@@ -32,17 +32,17 @@ def _component_partials(func, dim, values, order):
 class CurvePath:
     """A smooth curve on the chart with velocity and acceleration.
 
-    Closed-form curves come from a jet-evaluable function of t; integrator
-    output wraps the dense solution (velocity is part of the ODE state, the
-    acceleration is the ODE right-hand side on the solution).
+    The three callables map t to arrays.  `from_function` builds them from a
+    jet-evaluable function of t; integrator output wraps the dense solution
+    (velocity is part of the ODE state, the acceleration is the ODE
+    right-hand side on the solution).
     """
 
-    def __init__(self, domain, position, velocity, acceleration, func=None):
+    def __init__(self, domain, position, velocity, acceleration):
         self.domain = (float(domain[0]), float(domain[1]))
         self._pos = position
         self._vel = velocity
         self._acc = acceleration
-        self.func = func  # jet-evaluable t -> components, when closed-form
 
     @classmethod
     def from_function(cls, func, domain, dim=None):
@@ -60,7 +60,7 @@ class CurvePath:
         def acc(t):
             return _component_partials(func, n, [t], 2)[2][:, 0, 0]
 
-        return cls(domain, pos, vel, acc, func=func)
+        return cls(domain, pos, vel, acc)
 
     def position(self, t):
         return self._pos(t)

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial.polynomial import polyder, polyval
 
 from . import jets
 from .connection import (
@@ -21,10 +22,12 @@ from .connection import (
     christoffel_with_partials,
     connection_memo,
     lowered_symbols,
+    nabla,
 )
 from .curvature import (
     cartan_derivative_block,
     covariant_acceleration,
+    curvature_field,
     field_curvature_block,
     flag_curvature,
     h_tensor,
@@ -208,20 +211,6 @@ def sample_tangent(metric, rng, box, max_tries=1000, cond_limit=1e8):
     )
 
 
-def _poly_func(coeffs, center):
-    def f(x):
-        total = 0.0
-        for alpha, c in coeffs:
-            term = c
-            for i, a in enumerate(alpha):
-                for _ in range(a):
-                    term = term * (x[i] - center[i])
-            total = total + term
-        return total
-
-    return f
-
-
 @lru_cache(maxsize=None)
 def _poly_tables(n, degree):
     """Exponent table of the monomials of degree <= `degree` in n variables,
@@ -242,21 +231,18 @@ def _poly_tables(n, degree):
     )
 
 
-class PolynomialField(VectorFieldOnChart):
+class PolynomialField:
     """Chart field with polynomial components in x - center, stored as an
     exponent table and an (n, m) coefficient array.  Value, Jacobian and
-    Hessian are numpy contractions; `funcs` stay jet-evaluable for
-    composition along curves."""
+    Hessian are numpy contractions behind the `VectorFieldOnChart` methods."""
 
     def __init__(self, coeffs, center, degree, name):
         self.coeffs = np.asarray(coeffs, dtype=float)
         self.center = np.asarray(center, dtype=float)
         self.degree = degree
-        n = len(self.center)
-        self._expo, self._d1, self._f1, self._d2, self._f2 = _poly_tables(n, degree)
-        monos = [tuple(a) for a in self._expo.tolist()]
-        funcs = [_poly_func(list(zip(monos, row.tolist())), self.center) for row in self.coeffs]
-        super().__init__(funcs, n, name)
+        self.dim = len(self.center)
+        self.name = name
+        self._expo, self._d1, self._f1, self._d2, self._f2 = _poly_tables(self.dim, degree)
 
     def _monomial_values(self, x, exponents):
         """Monomials of x - center for an exponent array (..., n)."""
@@ -307,38 +293,26 @@ def extension_field(x0, value, jac, quad=None):
     return PolynomialField(coeffs, x0, degree, "extension")
 
 
+def _t_poly(coeffs, k):
+    """t -> k-th t-derivative of the t-polynomial whose row m holds the
+    coefficients of t^m."""
+    der = polyder(coeffs, k)
+    return lambda t: polyval(t, der)
+
+
 def random_curve(rng, sample, scale=1.0):
     """Polynomial curve through the sample with random higher coefficients."""
     x0, v0 = sample.x, sample.v
     a2 = rng.uniform(-scale, scale, len(x0))
     a3 = rng.uniform(-scale, scale, len(x0))
-
-    def f(t):
-        return [
-            x0[i] + t * v0[i] + (t * t) * (0.5 * a2[i]) + (t * t * t) * (a3[i] / 6.0)
-            for i in range(len(x0))
-        ]
-
-    return CurvePath.from_function(f, (-1.0, 1.0), dim=len(x0))
+    coeffs = np.array([x0, v0, 0.5 * a2, a3 / 6.0])
+    return CurvePath((-1.0, 1.0), *(_t_poly(coeffs, k) for k in range(3)))
 
 
 def random_curve_field(rng, dim, value, degree=2, scale=1.0):
     """Field along a curve: value at t=0 prescribed, random t-polynomial."""
-    value = np.asarray(value, dtype=float)
-    coeffs = rng.uniform(-scale, scale, (dim, degree))
-
-    def f(t):
-        out = []
-        for k in range(dim):
-            total = value[k]
-            tp = t
-            for c in coeffs[k]:
-                total = total + c * tp
-                tp = tp * t
-            out.append(total)
-        return out
-
-    return FieldAlongCurve.from_function(f, dim=dim)
+    coeffs = np.vstack([value, rng.uniform(-scale, scale, (dim, degree)).T])
+    return FieldAlongCurve(_t_poly(coeffs, 0), _t_poly(coeffs, 1))
 
 
 # -- identity sweeps ----------------------------------------------------------
@@ -540,8 +514,6 @@ def _second_bianchi(metric, sample, cp, V, X, Y, Z, W, track, where):
     """Cyclic sum of (nabla_X R^V)(Y,Z)W; the outermost derivative of the
     curvature needs fifth derivatives of L, so it is taken by fourth-order
     central differences of the exactly-computed curvature field."""
-    from .curvature import curvature_field
-
     x0 = sample.x
     G = cp.Gamma
     n = metric.dim
@@ -594,13 +566,12 @@ def _admissible_vector(metric, rng, x0, max_tries=500, cond_limit=1e8):
 
 
 def _compose_field(chart_field, curve):
-    """Restriction of a chart field to a curve, evaluated by jet composition."""
-
-    def f(t):
-        pos = curve.func(t)
-        return [func(pos) for func in chart_field.funcs]
-
-    return FieldAlongCurve.from_function(f, dim=chart_field.dim)
+    """Restriction of a chart field to a curve, by the chain rule: value
+    X(gamma(t)) and derivative JX(gamma(t)) gammadot(t)."""
+    return FieldAlongCurve(
+        lambda t: chart_field.value(curve.position(t)),
+        lambda t: chart_field.jacobian(curve.position(t)) @ curve.velocity(t),
+    )
 
 
 def _nonsingular_pair(rng, v0, n):
@@ -706,8 +677,6 @@ def _curve_identities(metric, rng, plan, track, metric_name):
         lhs_vec = cov_deriv_along(
             metric, curve, _compose_field(Vf, curve), _compose_field(Xf, curve), 0.0
         )
-        from .connection import nabla
-
         rhs_vec = nabla(metric, Vf, VectorFieldOnChart.constant(vel0), Xf, x0)
         track.add(
             "curve_chart_restriction", _rel(lhs_vec - rhs_vec, lhs_vec, rhs_vec), where
@@ -755,8 +724,6 @@ def _curve_identities(metric, rng, plan, track, metric_name):
         Vext = extension_field(x0, v0, J, quad=rng.uniform(-1.0, 1.0, (n, n, n)))
         Uext = extension_field(x0, u, rng.uniform(-1.0, 1.0, (n, n)))
         Wext = extension_field(x0, w, rng.uniform(-1.0, 1.0, (n, n)))
-        from .curvature import curvature_field
-
         chart = curvature_field(metric, Vext, Vext, Uext, Wext, x0)
         worst = max(
             _rel(direct2 - hh_path, hh_path, direct2),

@@ -1,6 +1,7 @@
 """Verification harness: determinism, report structure, failure reporting."""
 
 import contextlib
+import copy
 import json
 
 import numpy as np
@@ -8,8 +9,9 @@ import pytest
 
 from finsler import jets, verify
 from finsler.connection import VectorFieldOnChart
+from finsler.curves import FieldAlongCurve
 from finsler.errors import FinslerError
-from finsler.metrics import MetricField, builtin
+from finsler.metrics import MetricField, TangentSample, builtin
 from finsler.verify import (
     VerificationPlan,
     default_plan,
@@ -210,12 +212,34 @@ def _fixture_fields(rng, dim, center):
     ]
 
 
+def _jet_reference(field):
+    """The polynomial field as jet-evaluable component functions: a
+    monomial-by-monomial sum over its coefficient array."""
+    monos = sorted(jets._monomials(field.dim, field.degree))
+    center = field.center
+
+    def component(row):
+        def f(x):
+            total = 0.0
+            for alpha, c in zip(monos, row):
+                term = c
+                for i, a in enumerate(alpha):
+                    for _ in range(a):
+                        term = term * (x[i] - center[i])
+                total = total + term
+            return total
+
+        return f
+
+    return VectorFieldOnChart([component(row) for row in field.coeffs.tolist()], field.dim)
+
+
 @pytest.mark.parametrize("dim", [2, 3, 4])
 def test_polynomial_fields_match_jet_evaluation_of_their_funcs(dim):
     rng = np.random.default_rng(40 + dim)
     center = rng.uniform(-0.5, 0.5, dim)
     for field in _fixture_fields(rng, dim, center):
-        ref = VectorFieldOnChart(field.funcs, dim)
+        ref = _jet_reference(field)
         np.testing.assert_array_equal(field.value(center), ref.value(center))
         np.testing.assert_array_equal(field.jacobian(center), ref.jacobian(center))
         for _ in range(3):
@@ -250,3 +274,79 @@ def test_random_polynomial_field_draws_like_one_scalar_per_coefficient():
     scalars = [[ref.uniform(-1.0, 1.0) for _ in range(m)] for _ in range(dim)]
     np.testing.assert_array_equal(field.coeffs, scalars)
     assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def _cubic_terms(x0, v0, a2, a3, t):
+    """The summands of x0 + t v0 + t^2/2 a2 + t^3/6 a3 and of its first two
+    t-derivatives."""
+    return (
+        (x0, t * v0, t * t / 2 * a2, t**3 / 6 * a3),
+        (v0, t * a2, t * t / 2 * a3),
+        (a2, t * a3),
+    )
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_random_curve_is_the_cubic_through_the_sample(dim):
+    rng = np.random.default_rng(60 + dim)
+    x0, v0 = rng.uniform(-0.5, 0.5, dim), rng.uniform(-1.0, 1.0, dim)
+    ref = copy.deepcopy(rng)
+    curve = verify.random_curve(rng, TangentSample(x0, v0))
+    a2, a3 = ref.uniform(-1.0, 1.0, dim), ref.uniform(-1.0, 1.0, dim)
+    assert rng.bit_generator.state == ref.bit_generator.state
+    for t in (-0.7, 0.0, 0.4):
+        # relative to the largest summand, the scale of the roundoff
+        got = (curve.position(t), curve.velocity(t), curve.acceleration(t))
+        for g, terms in zip(got, _cubic_terms(x0, v0, a2, a3, t)):
+            assert verify._rel(g - sum(terms), *terms) <= 1e-15
+    for g, w in zip((curve.position(0.0), curve.velocity(0.0), curve.acceleration(0.0)), (x0, v0, a2)):
+        np.testing.assert_array_equal(g, w)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_random_curve_field_is_its_t_polynomial(dim):
+    rng = np.random.default_rng(70 + dim)
+    value = rng.uniform(-1.0, 1.0, dim)
+    ref = copy.deepcopy(rng)
+    field = verify.random_curve_field(rng, dim, value)
+    c = ref.uniform(-1.0, 1.0, (dim, 2))
+    assert rng.bit_generator.state == ref.bit_generator.state
+    for t in (-0.7, 0.0, 0.4):
+        terms = (value, t * c[:, 0], t * t * c[:, 1])
+        assert verify._rel(field.value(t) - sum(terms), *terms) <= 1e-15
+        terms = (c[:, 0], 2 * t * c[:, 1])
+        assert verify._rel(field.derivative(t) - sum(terms), *terms) <= 1e-15
+    np.testing.assert_array_equal(field.value(0.0), value)
+    np.testing.assert_array_equal(field.derivative(0.0), c[:, 0])
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_chart_field_restriction_matches_jet_composition(dim):
+    rng = np.random.default_rng(80 + dim)
+    x0, v0 = rng.uniform(-0.5, 0.5, dim), rng.uniform(-1.0, 1.0, dim)
+    ref = copy.deepcopy(rng)
+    curve = verify.random_curve(rng, TangentSample(x0, v0))
+    a2, a3 = ref.uniform(-1.0, 1.0, dim), ref.uniform(-1.0, 1.0, dim)
+
+    def gamma(t):
+        return [
+            x0[i] + t * v0[i] + (t * t) * (0.5 * a2[i]) + (t * t * t) * (a3[i] / 6.0)
+            for i in range(dim)
+        ]
+
+    fields = [
+        random_polynomial_field(rng, dim, 3, center=x0),
+        extension_field(
+            x0,
+            rng.uniform(-1.0, 1.0, dim),
+            rng.uniform(-1.0, 1.0, (dim, dim)),
+            quad=rng.uniform(-1.0, 1.0, (dim, dim, dim)),
+        ),
+    ]
+    for chart_field in fields:
+        restricted = verify._compose_field(chart_field, curve)
+        funcs = _jet_reference(chart_field).funcs
+        composed = FieldAlongCurve.from_function(lambda t: [f(gamma(t)) for f in funcs], dim=dim)
+        for t in (-0.5, 0.3):
+            assert _max_rel(restricted.value(t), composed.value(t)) <= 1e-14
+            assert _max_rel(restricted.derivative(t), composed.derivative(t)) <= 1e-14
