@@ -8,6 +8,16 @@ degree <= order every extracted partial derivative is exact up to roundoff.
 Coefficients are stored densely, indexed by graded-lexicographic multi-index.
 The coefficient of ``x^alpha`` is ``(d^alpha f)(0) / alpha!``; only this
 module knows that layout, and :func:`partials` reads derivatives out of it.
+
+Every jet also carries an upper bound ``degree`` on its polynomial degree:
+every coefficient above it is exactly zero.  Constants have degree 0, seeds
+degree 1, sums the larger of their operands' and products the sum, capped
+at the order.  A product uses only the pairs of its multiplication table
+whose factors lie within both bounds, a subsequence of the full table in
+the same order, so it adds the same nonzero terms in the same order and
+skips only exact zeros.  Horner's rule in the analytic functions drops, at
+each step, the output degrees that the multiplications still to come would
+carry past the order.
 """
 
 from __future__ import annotations
@@ -21,7 +31,9 @@ import numpy as np
 
 MAX_ORDER = 4
 
-_SCALAR_TYPES = (Real, np.floating, np.integer)
+# float and int first: they cover nearly every operand, and the Real ABC
+# check behind them is slow.
+_SCALAR_TYPES = (float, int, Real, np.floating, np.integer)
 
 
 def _monomials(nvars, order):
@@ -71,6 +83,19 @@ class JetSpace:
         self._mul_i = np.array(rows_i)
         self._mul_j = np.array(rows_j)
         self._mul_k = np.array(rows_k)
+        self._tables = {}
+
+    def _product_table(self, da, db, cap):
+        """The rows (i, j, k) of the multiplication table whose factor slots
+        have degree <= da and <= db and whose output slot has degree <= cap,
+        in the full table's order."""
+        key = (da, db, cap)
+        table = self._tables.get(key)
+        if table is None:
+            deg = np.array([sum(m) for m in self.monomials])
+            keep = (deg[self._mul_i] <= da) & (deg[self._mul_j] <= db) & (deg[self._mul_k] <= cap)
+            table = self._tables[key] = (self._mul_i[keep], self._mul_j[keep], self._mul_k[keep])
+        return table
 
     @cached_property
     def partial_tables(self):
@@ -101,14 +126,21 @@ class Jet:
     Supports +, -, *, /, ** with other jets of the same space and with plain
     scalars; `sqrt`, `exp`, `log`, `sin`, `cos` are provided as module-level
     functions that also accept floats, so metric definitions can be written
-    once and evaluated either way.
+    once and evaluated either way.  `degree` bounds the polynomial degree:
+    every coefficient above it is zero.
     """
 
-    __slots__ = ("space", "coeffs")
+    __slots__ = ("space", "coeffs", "degree")
 
     def __init__(self, space, coeffs):
+        coeffs = np.asarray(coeffs, dtype=float)
+        if coeffs.shape != (space.size,):
+            raise ValueError(
+                f"{space} takes {space.size} coefficients, got an array of shape {coeffs.shape}"
+            )
         self.space = space
-        self.coeffs = np.asarray(coeffs, dtype=float)
+        self.coeffs = coeffs
+        self.degree = space.order
 
     # -- construction -------------------------------------------------------
 
@@ -116,7 +148,7 @@ class Jet:
     def constant(cls, space, value):
         c = np.zeros(space.size)
         c[0] = value
-        return cls(space, c)
+        return _jet(space, c, 0)
 
     @classmethod
     def variable(cls, space, value, slot):
@@ -125,9 +157,9 @@ class Jet:
             raise ValueError(f"slot {slot} out of range for {space}")
         c = np.zeros(space.size)
         c[0] = value
-        mono = tuple(1 if i == slot else 0 for i in range(space.nvars))
-        c[space.index[mono]] = 1.0
-        return cls(space, c)
+        # graded-lex order puts x_slot's degree-1 monomial at nvars - slot
+        c[space.nvars - slot] = 1.0
+        return _jet(space, c, 1)
 
     # -- inspection ---------------------------------------------------------
 
@@ -163,26 +195,26 @@ class Jet:
     def __add__(self, other):
         if isinstance(other, Jet):
             self._check(other)
-            return Jet(self.space, self.coeffs + other.coeffs)
+            return _jet(self.space, self.coeffs + other.coeffs, max(self.degree, other.degree))
         if isinstance(other, _SCALAR_TYPES):
             c = self.coeffs.copy()
             c[0] += other
-            return Jet(self.space, c)
+            return _jet(self.space, c, self.degree)
         return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet(self.space, -self.coeffs)
+        return _jet(self.space, -self.coeffs, self.degree)
 
     def __sub__(self, other):
         if isinstance(other, Jet):
             self._check(other)
-            return Jet(self.space, self.coeffs - other.coeffs)
+            return _jet(self.space, self.coeffs - other.coeffs, max(self.degree, other.degree))
         if isinstance(other, _SCALAR_TYPES):
             c = self.coeffs.copy()
             c[0] -= other
-            return Jet(self.space, c)
+            return _jet(self.space, c, self.degree)
         return NotImplemented
 
     def __rsub__(self, other):
@@ -192,20 +224,31 @@ class Jet:
         if isinstance(other, Jet):
             self._check(other)
             sp = self.space
-            prod = self.coeffs[sp._mul_i] * other.coeffs[sp._mul_j]
-            return Jet(sp, np.bincount(sp._mul_k, weights=prod, minlength=sp.size))
+            if self.degree == other.degree == sp.order:
+                prod = self.coeffs[sp._mul_i] * other.coeffs[sp._mul_j]
+                return _jet(sp, np.bincount(sp._mul_k, weights=prod, minlength=sp.size), sp.order)
+            return self._times(other, sp.order)
         if isinstance(other, _SCALAR_TYPES):
-            return Jet(self.space, self.coeffs * float(other))
+            return _jet(self.space, self.coeffs * float(other), self.degree)
         return NotImplemented
 
     __rmul__ = __mul__
+
+    def _times(self, other, cap):
+        """The product with `other` over the slots of degree <= cap, from the
+        table pairs within both degree bounds; slots above cap are zero."""
+        sp = self.space
+        degree = min(self.degree + other.degree, cap)
+        i, j, k = sp._product_table(self.degree, other.degree, degree)
+        prod = self.coeffs[i] * other.coeffs[j]
+        return _jet(sp, np.bincount(k, weights=prod, minlength=sp.size), degree)
 
     def __truediv__(self, other):
         if isinstance(other, Jet):
             self._check(other)
             return self * other._reciprocal()
         if isinstance(other, _SCALAR_TYPES):
-            return Jet(self.space, self.coeffs / float(other))
+            return _jet(self.space, self.coeffs / float(other), self.degree)
         return NotImplemented
 
     def __rtruediv__(self, other):
@@ -214,10 +257,11 @@ class Jet:
         return NotImplemented
 
     def __pow__(self, exponent):
-        if isinstance(exponent, (int, np.integer)) or (
-            isinstance(exponent, float) and exponent.is_integer()
-        ):
-            p = int(exponent)
+        if not isinstance(exponent, _SCALAR_TYPES):
+            return NotImplemented
+        p = float(exponent)
+        if p.is_integer() and abs(p) <= MAX_ORDER:
+            p = int(p)
             if p == 0:
                 return Jet.constant(self.space, 1.0)
             if p < 0:
@@ -226,30 +270,42 @@ class Jet:
             for _ in range(p - 1):
                 result = result * self
             return result
-        if isinstance(exponent, _SCALAR_TYPES):
-            u0 = self.value
-            if u0 <= 0.0:
-                raise ValueError(
-                    f"non-integer power needs a positive constant term, got {u0:g}"
-                )
-            p = float(exponent)
-            derivs = []
-            c = u0**p
-            for k in range(self.space.order + 1):
-                derivs.append(c)
-                c *= (p - k) / ((k + 1) * u0)
-            return self._compose(derivs)
-        return NotImplemented
+        u0 = self.value
+        if p.is_integer():
+            # one binomial series instead of |p| - 1 products; at u0 = 0
+            # every term of w^p lies past the order
+            if u0 == 0.0:
+                if p < 0:
+                    raise ZeroDivisionError("jet division needs a nonzero constant term")
+                return Jet.constant(self.space, 0.0)
+        elif u0 <= 0.0:
+            raise ValueError(f"non-integer power needs a positive constant term, got {u0:g}")
+        return self._binomial(p, u0**p)
 
     # -- analytic primitives -------------------------------------------------
 
     def _compose(self, series):
-        """Evaluate sum_k series[k] * (self - value)^k by Horner."""
+        """Evaluate sum_k series[k] * (self - value)^k by Horner, for a series
+        of order + 1 terms.  w = self - value has no constant term, so a slot
+        of degree d feeds only degrees > d of the next product: the step
+        with r multiplications still to come keeps degrees <= order - r."""
         w = self - self.value
         result = Jet.constant(self.space, series[-1])
-        for c in reversed(series[:-1]):
-            result = result * w + c
+        for cap, c in enumerate(reversed(series[:-1]), start=1):
+            result = result._times(w, cap) + c
         return result
+
+    def _binomial(self, p, c0):
+        """u^p about u0 = value, from c0 = u0^p: the series C(p, k) u0^(p-k)."""
+        u0 = self.value
+        series = []
+        c = c0
+        for k in range(self.space.order + 1):
+            series.append(c)
+            c *= (p - k) / ((k + 1) * u0)
+        if not all(map(math.isfinite, series)):
+            raise OverflowError(f"jet power {p:g} of {u0:g} overflows")
+        return self._compose(series)
 
     def _reciprocal(self):
         u0 = self.value
@@ -262,12 +318,7 @@ class Jet:
         u0 = self.value
         if u0 <= 0.0:
             raise ValueError(f"jet sqrt needs a positive constant term, got {u0:g}")
-        derivs = []
-        c = math.sqrt(u0)
-        for k in range(self.space.order + 1):
-            derivs.append(c)
-            c *= (0.5 - k) / ((k + 1) * u0)
-        return self._compose(derivs)
+        return self._binomial(0.5, math.sqrt(u0))
 
     def exp(self):
         e0 = math.exp(self.value)
@@ -294,6 +345,16 @@ class Jet:
         cycle = [math.cos(u0), -math.sin(u0), -math.cos(u0), math.sin(u0)]
         series = [cycle[k % 4] / math.factorial(k) for k in range(self.space.order + 1)]
         return self._compose(series)
+
+
+def _jet(space, coeffs, degree):
+    """A Jet of `space` over a float array of its size whose entries above
+    `degree` are all zero: the unchecked constructor of the arithmetic."""
+    jet = object.__new__(Jet)
+    jet.space = space
+    jet.coeffs = coeffs
+    jet.degree = degree
+    return jet
 
 
 def seed(values, order):

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -195,6 +196,40 @@ def test_geodesic_refuses_non_finite_time_and_tolerance(flag, bad, capsys, monke
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
     assert err[0].startswith("error:") and flag[2:] in err[0]
+
+
+def test_geodesic_with_a_large_integer_power_finishes_and_matches_the_closed_form(tmp_path):
+    # L = f(x1) |v|^2 with f = (1 + 0.01 x1^2)^200000: from v0 = (1, 0) the
+    # geodesic keeps x2 and v2 = 0, and L = f(x1) v1^2 is conserved
+    path = tmp_path / "big.metric"
+    path.write_text("dim = 2\nL = (v1^2 + v2^2)*(1 + 0.01*x1^2)^200000\n")
+    out = tmp_path / "trace.csv"
+    start = time.perf_counter()
+    argv = ["geodesic", "--metric", str(path), "--x0=0.1,0.1", "--v0=1,0", "--T", "0.01", "--out", str(out)]
+    assert main(argv) == 0
+    assert time.perf_counter() - start < 20.0
+    t, x1, x2, v1, v2, L = np.array([[float(c) for c in r] for r in csv.reader(out.read_text().splitlines()[1:])]).T
+
+    def f(x):
+        return (1 + 0.01 * x**2) ** 200000
+
+    L0 = f(0.1)
+    np.testing.assert_array_equal(x2, 0.1)
+    np.testing.assert_array_equal(v2, 0.0)
+    np.testing.assert_allclose(v1, np.sqrt(L0 / f(x1)), rtol=1e-8)
+    np.testing.assert_allclose(L, L0, rtol=1e-8)
+    assert x1[-1] > 0.1 and v1[-1] < 0.5
+
+
+@pytest.mark.parametrize("base", ["2", "1.0035"])
+def test_overflowing_power_ends_in_one_error_line(base, tmp_path, capsys):
+    # 2^200000 overflows in L itself, 1.0035^200000 only in its derivatives
+    path = tmp_path / "overflow.metric"
+    path.write_text(f"dim = 2\nL = (v1^2 + v2^2)*({base} + x1^2)^200000\n")
+    code = main(["geodesic", "--metric", str(path), "--x0=0,0.1", "--v0=1,0", "--T", "0.01"])
+    assert code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Jet arithmetic against symbolic and closed-form oracles."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finsler import jets
+from finsler.curvature import r_along_curve_direct
+from finsler.geometry import metric_blocks
 from finsler.jets import Jet, jet_space, partials, seed
+from finsler.metrics import builtin, load_metric
+from finsler.verify import random_curve, sample_tangent
 
 
 def test_seed_square_matches_expansion():
@@ -223,3 +228,165 @@ def test_partials_refuse_jets_of_another_space():
     (t,) = seed([1.0], 2)
     with pytest.raises(ValueError, match="different spaces"):
         partials(jet_space(1, 3), [t])
+
+
+def test_jet_refuses_coefficients_of_the_wrong_shape():
+    space = jet_space(2, 2)
+    for bad in (np.ones(8), np.ones(3), np.ones((2, 3)), 1.0):
+        with pytest.raises(ValueError, match="takes 6 coefficients"):
+            Jet(space, bad)
+    assert Jet(space, np.arange(6)).degree == 2
+
+
+# -- integer powers past MAX_ORDER ------------------------------------------------
+
+
+@pytest.mark.parametrize("p", [37, -37, 5, -5])
+def test_large_integer_powers_match_sympy(p):
+    x = sp.Symbol("x")
+    expr = (sp.Rational(11, 10) + x + sp.Rational(3, 10) * x**2) ** p
+    (t,) = seed([0.2], 4)
+    jet = (1.1 + t + 0.3 * t * t) ** p
+    for k in range(5):
+        want = float(sp.diff(expr, x, k).subs(x, sp.Rational(1, 5)))
+        assert jet.extract((k,)) == pytest.approx(want, rel=1e-12)
+
+
+def test_large_integer_power_of_zero_base():
+    t, s = seed([0.0, 1.0], 4)
+    np.testing.assert_array_equal(((t * s) ** 37).coeffs, 0.0)
+    with pytest.raises(ZeroDivisionError):
+        (t * s) ** -37
+
+
+def test_small_integer_powers_stay_repeated_products():
+    t, s = seed([0.7, -0.4], 4)
+    u = t * s + 1.3 * t
+    np.testing.assert_array_equal((u**3).coeffs, (u * u * u).coeffs)
+    np.testing.assert_array_equal((u**-4.0).coeffs, (u * u * u * u)._reciprocal().coeffs)
+
+
+def test_overflowing_power_raises_overflow_error():
+    (t,) = seed([1.0035], 2)
+    with pytest.raises(OverflowError):
+        t**200000
+
+
+# -- degree bounds ------------------------------------------------------------------
+
+
+def _full_times(self, other, cap):
+    """Reference product over the whole multiplication table, whatever the
+    degree bounds and the cap."""
+    sp = self.space
+    prod = self.coeffs[sp._mul_i] * other.coeffs[sp._mul_j]
+    return jets._jet(sp, np.bincount(sp._mul_k, weights=prod, minlength=sp.size), sp.order)
+
+
+def _degrees(space):
+    return np.array([sum(m) for m in space.monomials])
+
+
+def _bounded_jet(rng, space, degree, value):
+    c = rng.uniform(-1.0, 1.0, space.size) * (_degrees(space) <= degree)
+    c[0] = value
+    return jets._jet(space, c, degree)
+
+
+_COMPOSED = {
+    "sqrt": Jet.sqrt,
+    "reciprocal": lambda u: 1.0 / u,
+    "exp": Jet.exp,
+    "log": Jet.log,
+    "sin": Jet.sin,
+    "cos": Jet.cos,
+    "pow": lambda u: u**2.5,
+    "pow37": lambda u: u**-37,
+}
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+@pytest.mark.parametrize("nvars", [1, 2, 3, 4, 5, 6])
+def test_restricted_products_and_compose_equal_the_full_table(nvars, order, monkeypatch):
+    rng = np.random.default_rng(100 * nvars + order)
+    space = jet_space(nvars, order)
+    cases = []
+    for _ in range(6):
+        da, db = (int(d) for d in rng.integers(0, order + 1, 2))
+        a = _bounded_jet(rng, space, da, rng.uniform(0.5, 1.5))
+        b = _bounded_jet(rng, space, db, rng.uniform(-1.5, 1.5))
+        cases.append((a, b))
+    got = []
+    for a, b in cases:
+        prod = a * b
+        assert prod.degree == min(a.degree + b.degree, order)
+        got.append([prod.coeffs] + [f(a).coeffs for f in _COMPOSED.values()])
+    monkeypatch.setattr(Jet, "_times", _full_times)
+    for (a, b), row in zip(cases, got):
+        full = jets._jet(space, a.coeffs, order) * jets._jet(space, b.coeffs, order)
+        want = [full.coeffs] + [f(jets._jet(space, a.coeffs, order)).coeffs for f in _COMPOSED.values()]
+        for name, g, w in zip(["product"] + list(_COMPOSED), row, want):
+            np.testing.assert_array_equal(g, w, err_msg=name)
+
+
+_BUILTIN_NAMES = ["euclidean", "minkowski_quartic", "sphere_round", "hyperbolic", "funk", "riemannian_perturbation"]
+_BENCH_METRICS = Path(__file__).resolve().parents[1] / "bench" / "metrics"
+
+
+def _metrics_under_test():
+    out = [builtin(name, dim=dim) for name in _BUILTIN_NAMES for dim in (2, 3)]
+    return out + [load_metric(str(path)) for path in sorted(_BENCH_METRICS.glob("*.metric"))]
+
+
+def _sample(metric, rng):
+    return sample_tangent(metric, rng, (-0.4, 0.4))
+
+
+def test_every_jet_is_zero_above_its_degree(monkeypatch):
+    """Every jet the arithmetic builds, through L at orders 2-4 and through
+    r_along_curve_direct's composed inputs, holds exact zeros above its
+    degree."""
+    seen = []
+
+    def checked(space, coeffs, degree):
+        assert 0 <= degree <= space.order
+        assert np.all(coeffs[_degrees(space) > degree] == 0.0)
+        seen.append(degree)
+        return make(space, coeffs, degree)
+
+    make = jets._jet
+    monkeypatch.setattr(jets, "_jet", checked)
+    rng = np.random.default_rng(4)
+    for metric in _metrics_under_test():
+        s = _sample(metric, rng)
+        for order in (2, 3, 4):
+            metric_blocks(metric, s.x, s.v, order)
+        if metric.dim == 2:
+            curve = random_curve(rng, s)
+            u, w = rng.uniform(-1.0, 1.0, (2, metric.dim))
+            r_along_curve_direct(metric, curve, 0.0, u, w, rng=rng)
+    assert set(seen) == {0, 1, 2, 3, 4}
+
+
+def test_metric_blocks_equal_a_run_from_full_degree_seeds(monkeypatch):
+    rng = np.random.default_rng(8)
+    runs = [(m, _sample(m, rng)) for m in _metrics_under_test()]
+    got = [[vars(metric_blocks(m, s.x, s.v, order)) for order in (2, 3, 4)] for m, s in runs]
+    constant, variable = Jet.constant.__func__, Jet.variable.__func__
+
+    def full(make):
+        def seed_at_full_degree(cls, space, *args):
+            jet = make(cls, space, *args)
+            jet.degree = space.order
+            return jet
+
+        return classmethod(seed_at_full_degree)
+
+    monkeypatch.setattr(Jet, "constant", full(constant))
+    monkeypatch.setattr(Jet, "variable", full(variable))
+    for (m, s), blocks in zip(runs, got):
+        for order, have in zip((2, 3, 4), blocks):
+            want = vars(metric_blocks(m, s.x, s.v, order))
+            assert have.keys() == want.keys()
+            for key, value in want.items():
+                np.testing.assert_array_equal(have[key], value, err_msg=f"{m.name} order {order} {key}")
