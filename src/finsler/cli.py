@@ -110,7 +110,15 @@ def _cmd_curvature(args):
     return 0
 
 
+def _at_least_one(args, flag):
+    """Refuse a count flag below 1 before any work starts."""
+    value = getattr(args, flag)
+    if value < 1:
+        raise FinslerError(f"--{flag} must be at least 1, got {value}")
+
+
 def _cmd_geodesic(args):
+    _at_least_one(args, "points")
     metric = _resolve_metric(args.metric, len(args.x0))
     _check_lengths(metric, args, ("x0", "v0"))
     curve = geodesic_shoot(metric, args.x0, args.v0, args.T, tol=args.tol)
@@ -223,6 +231,7 @@ def _cmd_verify(args):
 
 
 def _cmd_table(args):
+    _at_least_one(args, "grid")
     # bare builtin names default to dim 2 unless --v says otherwise
     dim = len(args.v) if args.v is not None else 2
     metric = _resolve_metric(args.metric, dim)

@@ -4,15 +4,17 @@ The covariant derivative along a curve with reference field W is
 
     (D^W_gamma X)^k = dX^k/dt + X^i gammadot^j Gamma^k_ij(gamma(t), W(t)),
 
-geodesics solve D^{gammadot}_gamma gammadot = 0, integrated with the adaptive
-Dormand-Prince 8(5,3) pair (scipy's DOP853) and dense output.
+geodesics solve D^{gammadot}_gamma gammadot = 0.  Geodesics and parallel
+transport are integrated with the package's adaptive Dormand-Prince 8(5,3)
+pair and its dense output (`_dop853`, step for step the same as SciPy's
+DOP853, which the package does not import).
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
+from ._dop853 import StepSizeError, dop853
 from .connection import christoffel
 from .errors import DomainError, IntegrationError
 from .geometry import metric_blocks
@@ -149,9 +151,9 @@ def _spray(metric, x, v):
 def geodesic_shoot(metric, x0, v0, T, tol=1e-10):
     """Integrate the geodesic equation from (x0, v0) over [0, T].
 
-    The per-step tolerance is tol scaled by the interval length; the output
-    curve carries the dense solution (velocity from the state, acceleration
-    from the spray)."""
+    The per-step tolerance is tol divided by max(|T|, 1), so a backward shoot
+    is held as tightly as a forward one; the output curve carries the dense
+    solution (velocity from the state, acceleration from the spray)."""
     x0 = np.asarray(x0, dtype=float)
     v0 = np.asarray(v0, dtype=float)
     if not np.isfinite(T):
@@ -172,20 +174,12 @@ def geodesic_shoot(metric, x0, v0, T, tol=1e-10):
                 f"geodesic left the domain of {metric.name!r} at t={t:g}"
             ) from exc
 
-    rtol = max(tol / max(T, 1.0), 1e-13)
-    sol = solve_ivp(
-        rhs,
-        (0.0, T),
-        np.concatenate([x0, v0]),
-        method="DOP853",
-        rtol=rtol,
-        atol=rtol * 1e-2,
-        dense_output=True,
-    )
-    if not sol.success:
-        raise IntegrationError(f"geodesic integration failed: {sol.message}")
-
-    dense = sol.sol
+    rtol = max(tol / max(abs(T), 1.0), 1e-13)
+    y0 = np.concatenate([x0, v0])
+    try:
+        ts, dense = dop853(rhs, 0.0, T, y0, rtol, rtol * 1e-2)
+    except StepSizeError as exc:
+        raise IntegrationError(f"geodesic integration failed: {exc}") from exc
 
     def acceleration(t):
         y = dense(t)
@@ -197,7 +191,7 @@ def geodesic_shoot(metric, x0, v0, T, tol=1e-10):
         velocity=lambda t: dense(t)[n:],
         acceleration=acceleration,
     )
-    curve.check_admissible(metric, sol.t)
+    curve.check_admissible(metric, ts)
     return curve
 
 
@@ -227,12 +221,10 @@ def parallel_transport(metric, curve, W, x0, t0, t1):
         ce = christoffel(metric, TangentSample(p, w))
         return -np.einsum("kij,i,j->k", ce.Gamma, X, curve.velocity(t))
 
-    sol = solve_ivp(
-        rhs, (t0, t1), x0, method="RK45", rtol=1e-11, atol=1e-13, dense_output=True
-    )
-    if not sol.success:
-        raise IntegrationError(f"parallel transport failed: {sol.message}")
-    dense = sol.sol
+    try:
+        _, dense = dop853(rhs, t0, t1, x0, 1e-11, 1e-13)
+    except StepSizeError as exc:
+        raise IntegrationError(f"parallel transport failed: {exc}") from exc
     return FieldAlongCurve(
         value=lambda t: dense(t),
         derivative=lambda t: rhs(t, dense(t)),

@@ -189,13 +189,35 @@ def test_geodesic_refuses_non_finite_time_and_tolerance(flag, bad, capsys, monke
     def integrate(*args, **kwargs):
         raise AssertionError("integration started; with a non-finite T it never ends")
 
-    monkeypatch.setattr("finsler.curves.solve_ivp", integrate)
+    monkeypatch.setattr("finsler.curves.dop853", integrate)
     argv = ["geodesic", "--metric", "sphere_round", "--x0", "0.1,0.2", "--v0", "1,0", "--T", "1"]
     code = main(argv + [f"{flag}={bad}"])
     assert code == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
     assert err[0].startswith("error:") and flag[2:] in err[0]
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["geodesic", "--metric", "sphere_round", "--x0", "0.1,0.2", "--v0", "1,0", "--T", "1"], "--points"),
+        (["table", "--metric", "sphere_round"], "--grid"),
+    ],
+)
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_counts_below_one_are_refused_before_any_work(argv, flag, count, tmp_path, capsys, monkeypatch):
+    def work(*args, **kwargs):
+        raise AssertionError("work started before the count was checked")
+
+    monkeypatch.setattr("finsler.curves.dop853", work)
+    monkeypatch.setattr("finsler.cli.flag_curvature", work)
+    out = tmp_path / "out.csv"
+    code = main(argv + [flag, count, "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"error: {flag} must be at least 1, got {count}"]
+    assert not out.exists()
 
 
 def test_geodesic_with_a_large_integer_power_finishes_and_matches_the_closed_form(tmp_path):
