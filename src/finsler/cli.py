@@ -181,7 +181,7 @@ def _plan_metric(entry, dim):
     raise FinslerError(f"bad metric entry in plan: {entry!r}")
 
 
-def _plan_from_file(path, seed):
+def _plan_from_file(path):
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
@@ -205,19 +205,17 @@ def _plan_from_file(path, seed):
         for key in ("samples", "curve_samples", "heavy_samples", "degree", "box", "tolerances")
         if key in doc
     }
-    return VerificationPlan(metrics=metrics, seed=doc.get("seed", seed), **kwargs)
+    return VerificationPlan(metrics=metrics, seed=doc.get("seed", 7), **kwargs)
 
 
 def _cmd_verify(args):
-    # precedence: explicit --seed, then the plan file's seed, then 7
-    if args.plan == "default":
-        plan = default_plan(
-            samples=args.samples, seed=7 if args.seed is None else args.seed
-        )
-    else:
-        plan = _plan_from_file(args.plan, 7 if args.seed is None else args.seed)
-        if args.seed is not None:
-            plan.seed = args.seed
+    # precedence: explicit --seed / --samples, then the plan file, then the
+    # defaults (seed 7, 50 samples)
+    plan = default_plan() if args.plan == "default" else _plan_from_file(args.plan)
+    if args.seed is not None:
+        plan.seed = args.seed
+    if args.samples is not None:
+        plan.samples = args.samples
     if args.tol is not None:
         plan.tolerances = dict.fromkeys(verify_mod.DEFAULT_TOLERANCES, args.tol)
     report = run_verification(plan)
@@ -290,8 +288,10 @@ def build_parser():
 
     p = sub.add_parser("verify", help="run the identity verification suite")
     p.add_argument("--plan", default="default", help="plan JSON file or 'default'")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--samples", type=int, default=50)
+    p.add_argument("--seed", type=int, default=None, help="override the plan's seed (default plan: 7)")
+    p.add_argument(
+        "--samples", type=int, default=None, help="override the plan's sample count (default plan: 50)"
+    )
     p.add_argument(
         "--tol", type=float, default=None, help="override every identity tolerance"
     )

@@ -27,7 +27,6 @@ from dataclasses import dataclass, fields, is_dataclass
 import numpy as np
 
 from . import exprs
-from .errors import DomainError
 from .geometry import SampleBlocks, check_nondegenerate, metric_blocks
 from .jets import partials, seed
 from .metrics import TangentSample
@@ -269,12 +268,7 @@ def nabla(metric, V, X, Y, x):
         (nabla^V_X Y)^k = X^i dY^k/dx^i + X^i Y^j Gamma^k_ij(x, V(x))
     """
     x = np.asarray(x, dtype=float)
-    v = V.value(x)
-    if not metric.in_domain(x, v):
-        raise DomainError(
-            f"reference field {V.name!r} is not admissible at x={x.tolist()}"
-        )
-    ce = christoffel(metric, TangentSample(x, v))
+    ce = christoffel(metric, TangentSample(x, V.value(x)))
     Xv = X.value(x)
     Yv = Y.value(x)
     JY = Y.jacobian(x)

@@ -29,7 +29,6 @@ from .connection import (
     tangent_einsum,
     tangent_map,
 )
-from .errors import DomainError
 from .geometry import composed_blocks
 from .jets import seed
 from .metrics import TangentSample
@@ -91,10 +90,7 @@ def curvature_field(metric, V, X, Y, Z, x):
     """R^V(X, Y)Z at x, by differentiating the composite symbols
     Gamma(p, V(p)) through jets and contracting tensorially."""
     x = np.asarray(x, dtype=float)
-    v = V.value(x)
-    if not metric.in_domain(x, v):
-        raise DomainError(f"reference field is not admissible at x={x.tolist()}")
-    cp = christoffel_with_partials(metric, x, v)
+    cp = christoffel_with_partials(metric, x, V.value(x))
     Rc = field_curvature_block(cp, V.jacobian(x))
     return np.einsum("kabc,a,b,c->k", Rc, X.value(x), Y.value(x), Z.value(x))
 
@@ -103,10 +99,7 @@ def curvature_field_nested(metric, V, X, Y, Z, x):
     """Cross-check path: R^V(X,Y)Z by two nested covariant derivatives minus
     the bracket term, with all field derivatives carried explicitly."""
     x = np.asarray(x, dtype=float)
-    v = V.value(x)
-    if not metric.in_domain(x, v):
-        raise DomainError(f"reference field is not admissible at x={x.tolist()}")
-    cp = christoffel_with_partials(metric, x, v)
+    cp = christoffel_with_partials(metric, x, V.value(x))
     G = cp.Gamma
     dGt = _field_gamma_partial(cp, V.jacobian(x))
 
@@ -162,10 +155,7 @@ def nabla_cartan_block(metric, V, x):
     """(nabla^V C_V)[l, i, j, k]: derivative slot first, then the three
     symmetric slots.  Returns the block together with the Christoffel data."""
     x = np.asarray(x, dtype=float)
-    v = V.value(x)
-    if not metric.in_domain(x, v):
-        raise DomainError(f"reference field is not admissible at x={x.tolist()}")
-    cp = christoffel_with_partials(metric, x, v)
+    cp = christoffel_with_partials(metric, x, V.value(x))
     block = cartan_derivative_block(cp, V.jacobian(x))
     return block, cp
 
@@ -210,27 +200,26 @@ def covariant_acceleration(metric, curve, t):
     return curve.acceleration(t) + np.einsum("kij,i,j->k", ce.Gamma, v, v)
 
 
+def _curve_point(metric, curve, t):
+    """(velocity, Christoffel partials, covariant acceleration) at t."""
+    v = curve.velocity(t)
+    cp = christoffel_with_partials(metric, curve.position(t), v)
+    return v, cp, curve.acceleration(t) + np.einsum("kij,i,j->k", cp.Gamma, v, v)
+
+
 def h_tensor(metric, curve, t, u, w):
     """H_gamma(u, w)^k = u^i w^j (D^{gammadot} gammadot)^p dGamma^k_ij/dy^p;
     the correction by which the curve-wise operator differs from the
     hh-block, zero on geodesics."""
-    x = curve.position(t)
-    v = curve.velocity(t)
-    metric.check_sample(x, v)
-    cp = christoffel_with_partials(metric, x, v)
-    acc = curve.acceleration(t) + np.einsum("kij,i,j->k", cp.Gamma, v, v)
+    _, cp, acc = _curve_point(metric, curve, t)
     return np.einsum("i,j,p,kijp->k", u, w, acc, cp.dGamma_dy)
 
 
 def r_along_curve(metric, curve, t, u, w):
     """R^gamma(gammadot, u)w via the hh-block plus the H correction."""
-    x = curve.position(t)
-    v = curve.velocity(t)
-    metric.check_sample(x, v)
     u = np.asarray(u, dtype=float)
     w = np.asarray(w, dtype=float)
-    cp = christoffel_with_partials(metric, x, v)
-    acc = curve.acceleration(t) + np.einsum("kij,i,j->k", cp.Gamma, v, v)
+    v, cp, acc = _curve_point(metric, curve, t)
     H = np.einsum("i,j,p,kijp->k", u, w, acc, cp.dGamma_dy)
     return hh_apply(hh_block(cp), v, u, w) + H
 
@@ -247,7 +236,6 @@ def r_along_curve_direct(metric, curve, t, u, w, rng=None):
     x0 = curve.position(t)
     v0 = curve.velocity(t)
     acc2 = curve.acceleration(t)
-    metric.check_sample(x0, v0)
     u = np.asarray(u, dtype=float)
     w = np.asarray(w, dtype=float)
 
@@ -312,20 +300,7 @@ def flag_curvature(metric, sample, u):
 
     The numerator is the hh-block contraction: along the geodesic through the
     sample the H correction vanishes, so no integration is needed."""
-    u = np.asarray(u, dtype=float)
-    cp = christoffel_with_partials(metric, sample.x, sample.v)
-    g, v = cp.g, sample.v
-    L = metric.value(sample.x, sample.v)
-    gu = g @ u
-    den = L * float(u @ gu) - float(v @ gu) ** 2
-    scale = abs(L * float(u @ gu)) + float(v @ gu) ** 2 + 1e-300
-    if abs(den) < 1e-10 * scale:
-        raise ValueError(
-            "degenerate flag: span(v, u) is g_v-degenerate "
-            f"(denominator {den:.3g} below tolerance)"
-        )
-    num = float(hh_apply(hh_block(cp), v, u, u) @ g @ v)
-    return num / den
+    return flag_curvature_predecessor(metric, sample, u, u)
 
 
 def flag_curvature_predecessor(metric, sample, u, w):
@@ -335,12 +310,13 @@ def flag_curvature_predecessor(metric, sample, u, w):
     cp = christoffel_with_partials(metric, sample.x, sample.v)
     g, v = cp.g, sample.v
     L = metric.value(sample.x, sample.v)
-    den = L * float(u @ g @ w) - float(v @ g @ u) * float(v @ g @ w)
-    scale = abs(L * float(u @ g @ w)) + abs(float(v @ g @ u) * float(v @ g @ w)) + 1e-300
+    gu, gw = g @ u, g @ w
+    den = L * float(u @ gw) - float(v @ gu) * float(v @ gw)
+    scale = abs(L * float(u @ gw)) + abs(float(v @ gu) * float(v @ gw)) + 1e-300
     if abs(den) < 1e-10 * scale:
         raise ValueError(
-            "degenerate flag pair: denominator "
-            f"{den:.3g} below tolerance for the given (u, w)"
+            f"degenerate flag: denominator {den:.3g} below tolerance "
+            "(span(v, u) is g_v-degenerate when w = u)"
         )
     num = float(hh_apply(hh_block(cp), v, u, w) @ g @ v)
     return num / den

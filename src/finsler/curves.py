@@ -16,6 +16,7 @@ import numpy as np
 
 from ._dop853 import StepSizeError, dop853
 from .connection import christoffel
+from .curvature import covariant_acceleration
 from .errors import DomainError, IntegrationError
 from .geometry import metric_blocks
 from .jets import partials, seed
@@ -121,11 +122,7 @@ class FieldAlongCurve:
 def cov_deriv_along(metric, curve, W, X, t):
     """(D^W_gamma X)(t): derivative of X plus the Christoffel correction with
     reference vector W(t)."""
-    x = curve.position(t)
-    w = W.value(t)
-    if not metric.in_domain(x, w):
-        raise DomainError(f"reference field is not admissible at t={t:g}")
-    ce = christoffel(metric, TangentSample(x, w))
+    ce = christoffel(metric, TangentSample(curve.position(t), W.value(t)))
     vel = curve.velocity(t)
     return X.derivative(t) + np.einsum(
         "kij,i,j->k", ce.Gamma, X.value(t), vel
@@ -198,14 +195,9 @@ def geodesic_shoot(metric, x0, v0, T, tol=1e-10):
 def geodesic_residual(metric, curve, ts):
     """max |D^{gammadot}_gamma gammadot| over the given times (the defect of
     the geodesic equation)."""
-    worst = 0.0
-    for t in np.asarray(ts, dtype=float):
-        x = curve.position(t)
-        v = curve.velocity(t)
-        ce = christoffel(metric, TangentSample(x, v))
-        resid = curve.acceleration(t) + np.einsum("kij,i,j->k", ce.Gamma, v, v)
-        worst = max(worst, float(np.abs(resid).max()))
-    return worst
+    ts = np.asarray(ts, dtype=float)
+    residuals = [np.abs(covariant_acceleration(metric, curve, t)).max() for t in ts]
+    return float(max(residuals, default=0.0))
 
 
 def parallel_transport(metric, curve, W, x0, t0, t1):
@@ -266,10 +258,7 @@ def mixed_derivative_commutation(metric, lam, V, t, s):
     Both derivatives equal the mixed partial plus the symmetric Christoffel
     contraction, so the residual is roundoff-level for any smooth map."""
     p = lam.partials(t, s)
-    w = np.asarray(V(t, s), dtype=float)
-    if not metric.in_domain(p["value"], w):
-        raise DomainError(f"reference field not admissible at (t={t:g}, s={s:g})")
-    ce = christoffel(metric, TangentSample(p["value"], w))
+    ce = christoffel(metric, TangentSample(p["value"], V(t, s)))
     G = ce.Gamma
     d_ts = p["d_ts"]
     first = d_ts + np.einsum("kij,i,j->k", G, p["d_s"], p["d_t"])

@@ -21,7 +21,6 @@ from .connection import (
     christoffel,
     christoffel_with_partials,
     connection_memo,
-    lowered_symbols,
     nabla,
 )
 from .curvature import (
@@ -374,8 +373,7 @@ def _point_identities(metric, sample, cp, track, where):
 
     track.add("christoffel_symmetry", _rel(G - G.transpose(0, 2, 1), G, 1.0), where)
 
-    gamma_low = lowered_symbols(cp.blocks.dg_dx)
-    gamma_up = np.linalg.solve(g, gamma_low.reshape(n, -1)).reshape(n, n, n)
+    gamma_up = np.linalg.solve(g, cp.gamma_lc.reshape(n, -1)).reshape(n, n, n)
     lhs = np.einsum("kij,i,j->k", G, v, v)
     rhs = np.einsum("kij,i,j->k", gamma_up, v, v)
     vv_scale = np.abs(G).max() * float(v @ v)
@@ -404,7 +402,6 @@ def _field_identities(metric, sample, cp, rng, plan, track, where, heavy):
     JV = rng.uniform(-1.0, 1.0, (n, n))
     V = extension_field(x0, v0, JV, quad=rng.uniform(-1.0, 1.0, (n, n, n)))
     fields = [random_polynomial_field(rng, n, plan.degree, center=x0) for _ in range(4)]
-    X, Y, Z, W = fields
     vals = [f.value(x0) for f in fields]
     Xv, Yv, Zv, Wv = vals
     jacs = [f.jacobian(x0) for f in fields]
@@ -507,52 +504,32 @@ def _field_identities(metric, sample, cp, rng, plan, track, where, heavy):
             "six_b", _rel(q1 - q2 - rhs, q1, q2, rhs, max(s for _, s in bs)), where
         )
 
-        _second_bianchi(metric, sample, cp, V, X, Y, Z, W, track, where)
-
-
-def _second_bianchi(metric, sample, cp, V, X, Y, Z, W, track, where):
-    """Cyclic sum of (nabla_X R^V)(Y,Z)W; the outermost derivative of the
-    curvature needs fifth derivatives of L, so it is taken by fourth-order
-    central differences of the exactly-computed curvature field."""
-    x0 = sample.x
-    G = cp.Gamma
-    n = metric.dim
-    Wv = W.value(x0)
-    Rc = field_curvature_block(cp, V.jacobian(x0))
-
-    def R_vals(av, bv, cv):
-        return np.einsum("kabc,a,b,c->k", Rc, av, bv, cv)
-
-    def nab(A, B):
-        Av, Bv = A.value(x0), B.value(x0)
-        return B.jacobian(x0) @ Av + np.einsum("kij,i,j->k", G, Av, Bv)
-
-    def nabla_of_R_field(Av, B1, B2):
-        """nabla^V_A of the vector field p -> R^V(B1, B2)W at x0."""
-        norm = np.linalg.norm(Av)
-        e = Av / norm
+        # second Bianchi: cyclic sum of (nabla_A R^V)(B1, B2)W.  The outer
+        # derivative of the curvature needs fifth derivatives of L, so it is
+        # taken by fourth-order central differences of the exact curvature
+        # field along A.
         h = 0.002
-        vals = [
-            curvature_field(metric, V, B1, B2, W, x0 + step * h * e)
-            for step in (-2.0, -1.0, 1.0, 2.0)
-        ]
-        dT = (vals[0] - 8.0 * vals[1] + 8.0 * vals[2] - vals[3]) / (12.0 * h) * norm
-        T0 = R_vals(B1.value(x0), B2.value(x0), Wv)
-        return dT + np.einsum("kij,i,j->k", G, Av, T0)
-
-    total = np.zeros(n)
-    scale = 1e-2
-    for A, B1, B2 in ((X, Y, Z), (Y, Z, X), (Z, X, Y)):
-        first = nabla_of_R_field(A.value(x0), B1, B2)
-        term = (
-            first
-            - R_vals(nab(A, B1), B2.value(x0), Wv)
-            - R_vals(B1.value(x0), nab(A, B2), Wv)
-            - R_vals(B1.value(x0), B2.value(x0), nab(A, W))
-        )
-        total = total + term
-        scale = max(scale, float(np.abs(first).max()), float(np.abs(term).max()))
-    track.add("second_bianchi", float(np.abs(total).max()) / scale, where)
+        total = np.zeros(n)
+        scale = 1e-2
+        for a, b1, b2 in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+            Av, B1v, B2v = vals[a], vals[b1], vals[b2]
+            norm = np.linalg.norm(Av)
+            e = Av / norm
+            steps = [
+                curvature_field(metric, V, fields[b1], fields[b2], fields[3], x0 + step * h * e)
+                for step in (-2.0, -1.0, 1.0, 2.0)
+            ]
+            dT = (steps[0] - 8.0 * steps[1] + 8.0 * steps[2] - steps[3]) / (12.0 * h) * norm
+            first = dT + np.einsum("kij,i,j->k", G, Av, R(B1v, B2v, Wv))
+            term = (
+                first
+                - R(nab(Av, jacs[b1], B1v), B2v, Wv)
+                - R(B1v, nab(Av, jacs[b2], B2v), Wv)
+                - R(B1v, B2v, nab(Av, JW, Wv))
+            )
+            total = total + term
+            scale = max(scale, float(np.abs(first).max()), float(np.abs(term).max()))
+        track.add("second_bianchi", float(np.abs(total).max()) / scale, where)
 
 
 def _admissible_vector(metric, rng, x0, max_tries=500, cond_limit=1e8):
@@ -626,14 +603,14 @@ def _curve_identities(metric, rng, plan, track, metric_name):
         Xc = random_curve_field(rng, n, rng.uniform(-1.0, 1.0, n))
         Yc = random_curve_field(rng, n, rng.uniform(-1.0, 1.0, n))
         ce_w = christoffel(metric, TangentSample(x0, w0))
-        Gw = ce_w.Gamma
         blocks_w = ce_w.blocks
+
+        def D(F):
+            return cov_deriv_along(metric, curve, Wc, F, 0.0)
 
         Xv, Yv = Xc.value(0.0), Yc.value(0.0)
         dX, dY, dW = Xc.derivative(0.0), Yc.derivative(0.0), Wc.derivative(0.0)
-        DX = dX + np.einsum("kij,i,j->k", Gw, Xv, vel0)
-        DY = dY + np.einsum("kij,i,j->k", Gw, Yv, vel0)
-        DW = dW + np.einsum("kij,i,j->k", Gw, w0, vel0)
+        DX, DY, DW = D(Xc), D(Yc), D(Wc)
         gw = blocks_w.g
         lhs = (
             float(Xv @ (np.einsum("ijl,l->ij", blocks_w.dg_dx, vel0)) @ Yv)
@@ -650,16 +627,12 @@ def _curve_identities(metric, rng, plan, track, metric_name):
 
         # linearity and Leibniz for the curve derivative
         a, b = rng.uniform(-2.0, 2.0, 2)
-
-        def D(F, t=0.0):
-            return cov_deriv_along(metric, curve, Wc, F, t)
-
         combo = FieldAlongCurve(
             value=lambda t: a * Xc.value(t) + b * Yc.value(t),
             derivative=lambda t: a * Xc.derivative(t) + b * Yc.derivative(t),
         )
-        lin = D(combo) - (a * D(Xc) + b * D(Yc))
-        track.add("curve_linearity", _rel(lin, D(Xc), D(Yc)), where)
+        lin = D(combo) - (a * DX + b * DY)
+        track.add("curve_linearity", _rel(lin, DX, DY), where)
 
         c0, c1 = rng.uniform(-1.0, 1.0, 2)
         h = lambda t: t * t + c1 * t + c0
@@ -668,8 +641,8 @@ def _curve_identities(metric, rng, plan, track, metric_name):
             value=lambda t: h(t) * Xc.value(t),
             derivative=lambda t: hdot(t) * Xc.value(t) + h(t) * Xc.derivative(t),
         )
-        leib = D(scaled) - (hdot(0.0) * Xc.value(0.0) + h(0.0) * D(Xc))
-        track.add("curve_leibniz", _rel(leib, D(scaled), D(Xc)), where)
+        leib = D(scaled) - (hdot(0.0) * Xv + h(0.0) * DX)
+        track.add("curve_leibniz", _rel(leib, D(scaled), DX), where)
 
         # restriction of a chart field to the curve
         Vf = extension_field(x0, w0, rng.uniform(-1.0, 1.0, (n, n)))

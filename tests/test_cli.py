@@ -149,6 +149,19 @@ def test_verify_plan_file(tmp_path, capsys):
     assert main(["verify", "--plan", str(path)]) == 0
 
 
+def test_verify_samples_flag_overrides_the_plan_file(tmp_path, capsys):
+    plan = {"metrics": ["euclidean"], "samples": 2, "curve_samples": 1, "heavy_samples": 0}
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(plan))
+    for argv, count in (([], 2), (["--samples", "3"], 3)):
+        out = tmp_path / "report.json"
+        assert main(["verify", "--plan", str(path), "--out", str(out)] + argv) == 0
+        report = json.loads(out.read_text())
+        assert report["identities"]["euler_gvv"]["count"] == count
+        assert "euler_gvv" in capsys.readouterr().out
+    assert report["seed"] == 7
+
+
 def test_verify_plan_rejects_unknown_keys(tmp_path, capsys):
     path = tmp_path / "plan.json"
     path.write_text(json.dumps({"metrics": ["euclidean"], "retries": 3}))

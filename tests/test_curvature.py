@@ -1,9 +1,11 @@
 """Curvature: field tensor, hh block, curve operator, flag curvature."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
-from finsler.connection import VectorFieldOnChart, nabla
+from finsler.connection import VectorFieldOnChart, connection_memo, nabla
 from finsler.curvature import (
     b_tensor,
     curvature_field,
@@ -17,7 +19,15 @@ from finsler.curvature import (
     r_along_curve,
     r_along_curve_direct,
 )
-from finsler.curves import CurvePath, geodesic_shoot
+from finsler.curves import (
+    CurvePath,
+    FieldAlongCurve,
+    TwoParamMap,
+    cov_deriv_along,
+    geodesic_shoot,
+    mixed_derivative_commutation,
+)
+from finsler.errors import DomainError
 from finsler.metrics import TangentSample, builtin
 from finsler.verify import (
     extension_field,
@@ -302,6 +312,73 @@ def test_extension_independence_of_chart_field_realization():
         assert np.abs(got - want).max() <= 1e-8 * scale, name
 
 
+# -- inadmissible reference values ---------------------------------------------
+
+
+_U, _W = [0.3, 0.1], [0.2, -0.4]
+
+
+def _chart(helper, arity):
+    """helper(metric, V, *constant fields, x) with the reference field V = ref."""
+    fields = [[0.3, -0.2], [0.1, 0.5], [-0.4, 0.2], [0.2, 0.2]][:arity]
+
+    def call(m, x, ref):
+        chart_fields = [VectorFieldOnChart.constant(c) for c in fields]
+        return helper(m, VectorFieldOnChart.constant(ref), *chart_fields, x)
+
+    return call
+
+
+def _curve_data(x, v):
+    """A CurvePath reporting position x, velocity v and zero acceleration at
+    every t; the helpers below read it at t = 0 only."""
+    return CurvePath(
+        (-1.0, 1.0), lambda t: np.array(x), lambda t: np.array(v), lambda t: np.zeros(2)
+    )
+
+
+def _cov_deriv(m, x, ref):
+    W = FieldAlongCurve.from_constant(ref)
+    X = FieldAlongCurve.from_constant([0.2, 0.1])
+    return cov_deriv_along(m, _curve_data(x, [1.0, 0.5]), W, X, 0.0)
+
+
+def _commutation(m, x, ref):
+    lam = TwoParamMap(lambda t, s: [x[0] + t + 0.1 * t * s, x[1] + s], (-1, 1), (-1, 1))
+    return mixed_derivative_commutation(m, lam, lambda t, s: ref, 0.0, 0.0)
+
+
+_REFERENCE_HELPERS = {
+    "nabla": _chart(nabla, 2),
+    "curvature_field": _chart(curvature_field, 3),
+    "curvature_field_nested": _chart(curvature_field_nested, 3),
+    "nabla_cartan": _chart(nabla_cartan, 4),
+    "b_tensor": _chart(b_tensor, 4),
+    "cov_deriv_along": _cov_deriv,
+    "mixed_derivative_commutation": _commutation,
+    "h_tensor": lambda m, x, ref: h_tensor(m, _curve_data(x, ref), 0.0, _U, _W),
+    "r_along_curve": lambda m, x, ref: r_along_curve(m, _curve_data(x, ref), 0.0, _U, _W),
+    "r_along_curve_direct": lambda m, x, ref: r_along_curve_direct(
+        m, _curve_data(x, ref), 0.0, _U, _W
+    ),
+}
+
+
+@pytest.mark.parametrize("memo", [False, True], ids=["plain", "memo"])
+@pytest.mark.parametrize("name", sorted(_REFERENCE_HELPERS))
+def test_reference_helpers_raise_the_metrics_domain_error(name, memo):
+    # the reference value (a chart field's value, a field along a curve or a
+    # curve's velocity) is checked once, by metric_blocks
+    m = builtin("funk", dim=2)
+    call = _REFERENCE_HELPERS[name]
+    with connection_memo() if memo else contextlib.nullcontext():
+        assert np.all(np.isfinite(call(m, [0.1, -0.2], [0.6, 0.3])))
+        for x, ref in (([1.5, 0.2], [0.6, 0.3]), ([0.1, -0.2], [0.0, 0.0])):
+            for _ in range(2):  # a failure is not memoized: the repeat raises too
+                with pytest.raises(DomainError, match="outside the domain of metric 'funk'"):
+                    call(m, x, ref)
+
+
 # -- flag curvature ------------------------------------------------------------------
 
 
@@ -354,13 +431,20 @@ def test_funk_flag_constant_against_independent_mp_oracle():
 
 
 def test_flag_predecessor_consistency_and_constants():
+    # flag_curvature(u) is flag_curvature_predecessor(u, u), bit for bit
+    rng = np.random.default_rng(11)
+    for name in ("sphere_round", "funk", "hyperbolic", "minkowski_quartic", "riemannian_perturbation"):
+        for dim in (2, 3):
+            metric = builtin(name, dim=dim)
+            for _ in range(4):
+                sample = sample_tangent(metric, rng, (-0.6, 0.6))
+                u = rng.uniform(-1.0, 1.0, dim)
+                assert flag_curvature(metric, sample, u) == flag_curvature_predecessor(metric, sample, u, u)
+
     m = builtin("sphere_round", dim=2)
     s = TangentSample([0.25, -0.3], [0.8, 0.3])
     u = np.array([-0.1, 0.9])
     w = np.array([0.7, 0.4])
-    assert flag_curvature_predecessor(m, s, u, u) == pytest.approx(
-        flag_curvature(m, s, u), rel=1e-12
-    )
     assert flag_curvature_predecessor(m, s, u, w) == pytest.approx(1.0, abs=1e-7)
 
     e = builtin("euclidean", dim=2)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from finsler.curvature import covariant_acceleration
 from finsler.curves import (
     CurvePath,
     FieldAlongCurve,
@@ -223,6 +224,16 @@ def test_euclidean_geodesics_are_straight_lines():
             curve.position(t), [1.0 + 0.5 * t, -2.0 + 0.25 * t], atol=1e-12
         )
     assert geodesic_residual(m, curve, np.linspace(0, 4, 7)) <= 1e-12
+
+
+def test_geodesic_residual_is_the_largest_covariant_acceleration():
+    m = builtin("funk", dim=2)
+    curve = CurvePath.from_function(lambda t: [0.1 + 0.3 * t, -0.2 + 0.4 * t * t], (0.0, 1.0))
+    ts = np.linspace(0.0, 1.0, 5)
+    expected = max(float(np.abs(covariant_acceleration(m, curve, t)).max()) for t in ts)
+    assert expected > 0.1
+    assert geodesic_residual(m, curve, ts) == expected
+    assert geodesic_residual(m, curve, []) == 0.0
 
 
 def test_great_circle_period_on_round_sphere():
