@@ -29,7 +29,6 @@ import numpy as np
 from . import exprs
 from .geometry import SampleBlocks, check_nondegenerate, metric_blocks
 from .jets import partials, seed
-from .metrics import TangentSample
 
 
 class VectorFieldOnChart:
@@ -206,7 +205,13 @@ def _memoized(compute, metric, x, v):
 def christoffel(metric, sample):
     """Christoffel symbols, nonlinear connection and lowered symbols at a
     sample, by the explicit formulas (float path)."""
-    return _memoized(_christoffel, metric, sample.x, sample.v)
+    return _christoffel_at(metric, sample.x, sample.v)
+
+
+def _christoffel_at(metric, x, v):
+    """`christoffel` at a bare (x, v): a reference value of any shape meets
+    metric_blocks' domain check first."""
+    return _memoized(_christoffel, metric, x, v)
 
 
 def _christoffel(metric, x, v):
@@ -268,7 +273,7 @@ def nabla(metric, V, X, Y, x):
         (nabla^V_X Y)^k = X^i dY^k/dx^i + X^i Y^j Gamma^k_ij(x, V(x))
     """
     x = np.asarray(x, dtype=float)
-    ce = christoffel(metric, TangentSample(x, V.value(x)))
+    ce = _christoffel_at(metric, x, V.value(x))
     Xv = X.value(x)
     Yv = Y.value(x)
     JY = Y.jacobian(x)

@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .connection import (
-    christoffel,
+    _christoffel_at,
     christoffel_core,
     christoffel_with_partials,
     inverse_with_tangent,
@@ -31,7 +31,6 @@ from .connection import (
 )
 from .geometry import composed_blocks
 from .jets import seed
-from .metrics import TangentSample
 
 
 def hh_block(cp):
@@ -196,7 +195,7 @@ def covariant_acceleration(metric, curve, t):
     """(D^{gammadot}_gamma gammadot)(t), the invariant acceleration."""
     x = curve.position(t)
     v = curve.velocity(t)
-    ce = christoffel(metric, TangentSample(x, v))
+    ce = _christoffel_at(metric, x, v)
     return curve.acceleration(t) + np.einsum("kij,i,j->k", ce.Gamma, v, v)
 
 
@@ -239,7 +238,7 @@ def r_along_curve_direct(metric, curve, t, u, w, rng=None):
     u = np.asarray(u, dtype=float)
     w = np.asarray(w, dtype=float)
 
-    ce = christoffel(metric, TangentSample(x0, v0))
+    ce = _christoffel_at(metric, x0, v0)
     udot = -np.einsum("kij,i,j->k", ce.Gamma, u, v0)
 
     if rng is None:

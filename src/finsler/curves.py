@@ -15,12 +15,11 @@ from __future__ import annotations
 import numpy as np
 
 from ._dop853 import StepSizeError, dop853
-from .connection import christoffel
+from .connection import _christoffel_at
 from .curvature import covariant_acceleration
 from .errors import DomainError, IntegrationError
 from .geometry import metric_blocks
 from .jets import partials, seed
-from .metrics import TangentSample
 
 
 def _component_partials(func, dim, values, order):
@@ -122,7 +121,7 @@ class FieldAlongCurve:
 def cov_deriv_along(metric, curve, W, X, t):
     """(D^W_gamma X)(t): derivative of X plus the Christoffel correction with
     reference vector W(t)."""
-    ce = christoffel(metric, TangentSample(curve.position(t), W.value(t)))
+    ce = _christoffel_at(metric, curve.position(t), W.value(t))
     vel = curve.velocity(t)
     return X.derivative(t) + np.einsum(
         "kij,i,j->k", ce.Gamma, X.value(t), vel
@@ -206,11 +205,10 @@ def parallel_transport(metric, curve, W, x0, t0, t1):
     x0 = np.asarray(x0, dtype=float)
 
     def rhs(t, X):
-        p = curve.position(t)
-        w = W.value(t)
-        if not metric.in_domain(p, w):
-            raise IntegrationError(f"reference field left the domain at t={t:g}")
-        ce = christoffel(metric, TangentSample(p, w))
+        try:
+            ce = _christoffel_at(metric, curve.position(t), W.value(t))
+        except DomainError as exc:
+            raise IntegrationError(f"reference field left the domain at t={t:g}") from exc
         return -np.einsum("kij,i,j->k", ce.Gamma, X, curve.velocity(t))
 
     try:
@@ -258,8 +256,7 @@ def mixed_derivative_commutation(metric, lam, V, t, s):
     Both derivatives equal the mixed partial plus the symmetric Christoffel
     contraction, so the residual is roundoff-level for any smooth map."""
     p = lam.partials(t, s)
-    ce = christoffel(metric, TangentSample(p["value"], V(t, s)))
-    G = ce.Gamma
+    G = _christoffel_at(metric, p["value"], V(t, s)).Gamma
     d_ts = p["d_ts"]
     first = d_ts + np.einsum("kij,i,j->k", G, p["d_s"], p["d_t"])
     second = d_ts + np.einsum("kij,i,j->k", G, p["d_t"], p["d_s"])

@@ -2,6 +2,10 @@
 reports a residual for every structural identity of the connection and its
 curvature.  Deterministic for a fixed seed; the repo's acceptance gate.
 
+Each sweep is a generator of (identity name, residual) pairs at one drawn
+sample; `run_verification` draws every sample from one random stream and
+keeps the largest residual per identity with the sample it came from.
+
 Residuals are relative to the magnitude of the largest term appearing in the
 identity, with an absolute floor of 1e-14 on the denominator.
 """
@@ -171,38 +175,31 @@ class VerificationReport:
         return lines
 
 
-class _Tracker:
-    def __init__(self):
-        self.data = {}
-
-    def add(self, name, resid, where):
-        entry = self.data.setdefault(name, [0.0, 0, None])
-        entry[1] += 1
-        if resid >= entry[0]:
-            entry[0] = resid
-            entry[2] = where
-
-
 # -- samplers and random fields -----------------------------------------------
 
 
-def _admissible(metric, x, v, cond_limit):
+# A drawn sample whose g_v is worse conditioned than this is drawn again
+# (geometry.COND_LIMIT, far above it, refuses a sample outright).
+_REDRAW_COND = 1e8
+
+
+def _admissible(metric, x, v):
     """v is not too short, (x, v) is in the domain and g_v is finite with
-    condition number at most `cond_limit`."""
+    condition number at most `_REDRAW_COND`."""
     if np.abs(v).max() < 0.2 or not metric.in_domain(x, v):
         return False
     g = metric_blocks(metric, x, v, order=2).g
-    return bool(np.all(np.isfinite(g)) and np.linalg.cond(g) <= cond_limit)
+    return bool(np.all(np.isfinite(g)) and np.linalg.cond(g) <= _REDRAW_COND)
 
 
-def sample_tangent(metric, rng, box, max_tries=1000, cond_limit=1e8):
+def sample_tangent(metric, rng, box, max_tries=1000):
     """Draw (x, v) in the box, rejecting domain violations and badly
     conditioned fundamental tensors; raises if no sample is found."""
     lo, hi = box
     for _ in range(max_tries):
         x = rng.uniform(lo, hi, metric.dim)
         v = rng.uniform(-1.5, 1.5, metric.dim)
-        if _admissible(metric, x, v, cond_limit):
+        if _admissible(metric, x, v):
             return TangentSample(x, v)
     raise FinslerError(
         f"could not draw an admissible sample for metric {metric.name!r} "
@@ -260,12 +257,12 @@ class PolynomialField:
         return self.value(x), self.jacobian(x), H
 
 
-def random_polynomial_field(rng, dim, degree=3, scale=1.0, center=None):
+def random_polynomial_field(rng, dim, degree=3, center=None):
     """Chart vector field with random polynomial components, stored as a
     coefficient array over the monomials of degree <= `degree`."""
     center = np.zeros(dim) if center is None else np.asarray(center, dtype=float)
     m = len(_poly_tables(dim, degree)[0])
-    coeffs = [rng.uniform(-scale, scale, m) for _ in range(dim)]
+    coeffs = [rng.uniform(-1.0, 1.0, m) for _ in range(dim)]
     return PolynomialField(coeffs, center, degree, "random_poly")
 
 
@@ -299,18 +296,18 @@ def _t_poly(coeffs, k):
     return lambda t: polyval(t, der)
 
 
-def random_curve(rng, sample, scale=1.0):
+def random_curve(rng, sample):
     """Polynomial curve through the sample with random higher coefficients."""
     x0, v0 = sample.x, sample.v
-    a2 = rng.uniform(-scale, scale, len(x0))
-    a3 = rng.uniform(-scale, scale, len(x0))
+    a2 = rng.uniform(-1.0, 1.0, len(x0))
+    a3 = rng.uniform(-1.0, 1.0, len(x0))
     coeffs = np.array([x0, v0, 0.5 * a2, a3 / 6.0])
     return CurvePath((-1.0, 1.0), *(_t_poly(coeffs, k) for k in range(3)))
 
 
-def random_curve_field(rng, dim, value, degree=2, scale=1.0):
-    """Field along a curve: value at t=0 prescribed, random t-polynomial."""
-    coeffs = np.vstack([value, rng.uniform(-scale, scale, (dim, degree)).T])
+def random_curve_field(rng, dim, value):
+    """Field along a curve: value at t=0 prescribed, random quadratic in t."""
+    coeffs = np.vstack([value, rng.uniform(-1.0, 1.0, (dim, 2)).T])
     return FieldAlongCurve(_t_poly(coeffs, 0), _t_poly(coeffs, 1))
 
 
@@ -330,71 +327,58 @@ def _g_derivative_along(blocks, JV, Xv, Yv, Zv, JY, JZ):
     )
 
 
-def _point_identities(metric, sample, cp, track, where):
+def _point_identities(metric, sample, rng, plan, index):
+    """Pointwise identities of g, C and Gamma at the sample, then the field
+    identities (heavy for the first `plan.heavy_samples` samples)."""
     v = sample.v
     n = metric.dim
+    cp = christoffel_with_partials(metric, sample.x, sample.v)
     g, C, G, N = cp.g, cp.cartan, cp.Gamma, cp.N
     L = metric.value(sample.x, sample.v)
 
-    rep = check_homogeneity(metric, sample, (0.5, 2.0, 7.0))
-    track.add("homogeneity", rep.max_residual, where)
-
-    track.add("euler_gvv", _rel(v @ g @ v - L, L), where)
+    yield "homogeneity", check_homogeneity(metric, sample, (0.5, 2.0, 7.0)).max_residual
+    yield "euler_gvv", _rel(v @ g @ v - L, L)
 
     # scale by |v| |C| (the size of a generic slot insertion): for nearly
     # axis-aligned v the individual products are themselves near zero and
     # would turn roundoff into a spurious ratio
     contraction = np.einsum("i,ijk->jk", v, C)
-    track.add(
-        "cartan_flagpole",
-        _rel(contraction, np.abs(v).max() * np.abs(C).max()),
-        where,
-    )
+    yield "cartan_flagpole", _rel(contraction, np.abs(v).max() * np.abs(C).max())
 
     worst = max(
         np.abs(C - C.transpose(p)).max()
         for p in ((0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
     )
-    track.add("cartan_symmetry", _rel(worst, C, 1.0), where)
+    yield "cartan_symmetry", _rel(worst, C, 1.0)
 
     # the christoffel_homogeneity loop below evaluates the same (x, 2v)
     C_2v = christoffel(metric, TangentSample(sample.x, 2.0 * v)).cartan
-    track.add("cartan_neg_homogeneity", _rel(C_2v - 0.5 * C, C), where)
+    yield "cartan_neg_homogeneity", _rel(C_2v - 0.5 * C, C)
     for lam in (0.5, 3.0):
         g_lam = metric_blocks(metric, sample.x, lam * v, order=2).g
-        track.add("g_zero_homogeneity", _rel(g_lam - g, g), where)
+        yield "g_zero_homogeneity", _rel(g_lam - g, g)
 
     dg_dy = cp.blocks.dg_dy
-    track.add(
-        "dg_dy_cartan",
-        _rel(dg_dy - 2.0 * np.einsum("kij->ijk", C), dg_dy, C),
-        where,
-    )
-
-    track.add("christoffel_symmetry", _rel(G - G.transpose(0, 2, 1), G, 1.0), where)
+    yield "dg_dy_cartan", _rel(dg_dy - 2.0 * np.einsum("kij->ijk", C), dg_dy, C)
+    yield "christoffel_symmetry", _rel(G - G.transpose(0, 2, 1), G, 1.0)
 
     gamma_up = np.linalg.solve(g, cp.gamma_lc.reshape(n, -1)).reshape(n, n, n)
     lhs = np.einsum("kij,i,j->k", G, v, v)
     rhs = np.einsum("kij,i,j->k", gamma_up, v, v)
     vv_scale = np.abs(G).max() * float(v @ v)
-    track.add("gamma_vv", _rel(lhs - rhs, lhs, rhs, vv_scale), where)
+    yield "gamma_vv", _rel(lhs - rhs, lhs, rhs, vv_scale)
 
-    track.add(
-        "nonlinear_connection",
-        _rel(np.einsum("sji,i->sj", G, v) - N, N, np.einsum("sji,i->sj", G, v)),
-        where,
-    )
+    Gv = np.einsum("sji,i->sj", G, v)
+    yield "nonlinear_connection", _rel(Gv - N, N, Gv)
 
     for lam in (0.1, 2.0, 10.0):
         ce_lam = christoffel(metric, TangentSample(sample.x, lam * v))
-        track.add(
-            "christoffel_homogeneity",
-            _rel(ce_lam.Gamma - G, G, 1e-2),
-            where,
-        )
+        yield "christoffel_homogeneity", _rel(ce_lam.Gamma - G, G, 1e-2)
+
+    yield from _field_identities(metric, sample, cp, rng, plan, heavy=index < plan.heavy_samples)
 
 
-def _field_identities(metric, sample, cp, rng, plan, track, where, heavy):
+def _field_identities(metric, sample, cp, rng, plan, heavy):
     n = metric.dim
     x0, v0 = sample.x, sample.v
     g, C, G = cp.g, cp.cartan, cp.Gamma
@@ -413,7 +397,7 @@ def _field_identities(metric, sample, cp, rng, plan, track, where, heavy):
     # torsion: nabla_X Y - nabla_Y X - [X, Y]
     bracket = JY @ Xv - JX @ Yv
     t_lhs = nab(Xv, JY, Yv) - nab(Yv, JX, Xv)
-    track.add("torsion_free", _rel(t_lhs - bracket, t_lhs, bracket), where)
+    yield "torsion_free", _rel(t_lhs - bracket, t_lhs, bracket)
 
     nXV = nab(Xv, JV, v0)
     nYV = nab(Yv, JV, v0)
@@ -426,7 +410,7 @@ def _field_identities(metric, sample, cp, rng, plan, track, where, heavy):
         + float(Yv @ g @ nab(Xv, JZ, Zv))
         + 2.0 * float(np.einsum("ijk,i,j,k->", C, nXV, Yv, Zv))
     )
-    track.add("almost_g_field", _rel(lhs - rhs, lhs, rhs), where)
+    yield "almost_g_field", _rel(lhs - rhs, lhs, rhs)
 
     # Koszul consistency
     koszul_rhs = (
@@ -444,7 +428,7 @@ def _field_identities(metric, sample, cp, rng, plan, track, where, heavy):
         )
     )
     koszul_lhs = 2.0 * float(nab(Xv, JY, Yv) @ g @ Zv)
-    track.add("koszul", _rel(koszul_lhs - koszul_rhs, koszul_lhs, koszul_rhs), where)
+    yield "koszul", _rel(koszul_lhs - koszul_rhs, koszul_lhs, koszul_rhs)
 
     # curvature identities
     Rc = field_curvature_block(cp, JV)
@@ -453,10 +437,10 @@ def _field_identities(metric, sample, cp, rng, plan, track, where, heavy):
         return np.einsum("kabc,a,b,c->k", Rc, av, bv, cv)
 
     anti = R(Xv, Yv, Zv) + R(Yv, Xv, Zv)
-    track.add("curvature_antisymmetry", _rel(anti, R(Xv, Yv, Zv), 1e-2), where)
+    yield "curvature_antisymmetry", _rel(anti, R(Xv, Yv, Zv), 1e-2)
 
     bianchi1 = R(Xv, Yv, Zv) + R(Yv, Zv, Xv) + R(Zv, Xv, Yv)
-    track.add("first_bianchi", _rel(bianchi1, R(Xv, Yv, Zv), R(Yv, Zv, Xv)), where)
+    yield "first_bianchi", _rel(bianchi1, R(Xv, Yv, Zv), R(Yv, Zv, Xv))
 
     nc = cartan_derivative_block(cp, JV)
 
@@ -464,12 +448,12 @@ def _field_identities(metric, sample, cp, rng, plan, track, where, heavy):
         np.abs(nc - nc.transpose(0, *p)).max()
         for p in ((1, 3, 2), (2, 1, 3), (3, 2, 1))
     )
-    track.add("nabla_cartan_symmetry", _rel(sym_resid, nc, 1e-2), where)
+    yield "nabla_cartan_symmetry", _rel(sym_resid, nc, 1e-2)
 
     # Eq: nabla_X C (V, Z, W) = -C(nabla_X V, Z, W)
     lhs = float(np.einsum("lijk,l,i,j,k->", nc, Xv, v0, Zv, Wv))
     rhs = -float(np.einsum("ijk,i,j,k->", C, nXV, Zv, Wv))
-    track.add("nabla_cartan_flagpole", _rel(lhs - rhs, lhs, rhs, np.abs(nc).max()), where)
+    yield "nabla_cartan_flagpole", _rel(lhs - rhs, lhs, rhs, np.abs(nc).max())
 
     def B(Pv, Qv, Rv_, Sv):
         """B value together with the size of its largest constituent (the
@@ -486,7 +470,7 @@ def _field_identities(metric, sample, cp, rng, plan, track, where, heavy):
         p2 = float(R(Xv, Yv, Wv) @ g @ Zv)
         b0, s0 = B(Xv, Yv, Zv, Wv)
         rhs = 2.0 * b0
-        track.add("curvature_pair_b", _rel(p1 + p2 - rhs, p1, p2, rhs, s0), where)
+        yield "curvature_pair_b", _rel(p1 + p2 - rhs, p1, p2, rhs, s0)
 
         # six-B pair-interchange identity
         q1 = float(R(Xv, Yv, Zv) @ g @ Wv)
@@ -500,9 +484,7 @@ def _field_identities(metric, sample, cp, rng, plan, track, where, heavy):
             B(Xv, Yv, Zv, Wv),
         ]
         rhs = sum(b for b, _ in bs)
-        track.add(
-            "six_b", _rel(q1 - q2 - rhs, q1, q2, rhs, max(s for _, s in bs)), where
-        )
+        yield "six_b", _rel(q1 - q2 - rhs, q1, q2, rhs, max(s for _, s in bs))
 
         # second Bianchi: cyclic sum of (nabla_A R^V)(B1, B2)W.  The outer
         # derivative of the curvature needs fifth derivatives of L, so it is
@@ -529,13 +511,13 @@ def _field_identities(metric, sample, cp, rng, plan, track, where, heavy):
             )
             total = total + term
             scale = max(scale, float(np.abs(first).max()), float(np.abs(term).max()))
-        track.add("second_bianchi", float(np.abs(total).max()) / scale, where)
+        yield "second_bianchi", float(np.abs(total).max()) / scale
 
 
-def _admissible_vector(metric, rng, x0, max_tries=500, cond_limit=1e8):
-    for _ in range(max_tries):
+def _admissible_vector(metric, rng, x0):
+    for _ in range(500):
         w = rng.uniform(-1.5, 1.5, metric.dim)
-        if _admissible(metric, x0, w, cond_limit):
+        if _admissible(metric, x0, w):
             return w
     raise FinslerError(
         f"no admissible vector found at x={x0.tolist()} for {metric.name!r}"
@@ -581,141 +563,132 @@ def _extension_jacobian(rng, v0, u, acc2, udot, n):
     return targets @ np.linalg.inv(basis)
 
 
-def _curve_identities(metric, rng, plan, track, metric_name):
+def _curve_identities(metric, sample, rng, plan, index):
+    """Identities of the covariant derivative and curvature along a random
+    non-geodesic polynomial curve through the sample."""
     n = metric.dim
-    for index in range(plan.curve_samples):
-        sample = sample_tangent(metric, rng, plan.box)
-        x0, v0 = sample.x, sample.v
-        where = {"metric": metric_name, "kind": "curve", "x": x0.tolist(), "v": v0.tolist()}
+    x0, v0 = sample.x, sample.v
 
+    curve = random_curve(rng, sample)
+    for _ in range(10):  # keep the curve genuinely non-geodesic
+        if np.abs(covariant_acceleration(metric, curve, 0.0)).max() >= 0.05:
+            break
         curve = random_curve(rng, sample)
-        for _ in range(10):  # keep the curve genuinely non-geodesic
-            if np.abs(covariant_acceleration(metric, curve, 0.0)).max() >= 0.05:
-                break
-            curve = random_curve(rng, sample)
-        ce = christoffel(metric, sample)
-        G = ce.Gamma
-        vel0 = curve.velocity(0.0)
+    G = christoffel(metric, sample).Gamma
+    vel0 = curve.velocity(0.0)
 
-        # reference field along the curve, admissible at t=0
-        w0 = _admissible_vector(metric, rng, x0)
-        Wc = random_curve_field(rng, n, w0)
-        Xc = random_curve_field(rng, n, rng.uniform(-1.0, 1.0, n))
-        Yc = random_curve_field(rng, n, rng.uniform(-1.0, 1.0, n))
-        ce_w = christoffel(metric, TangentSample(x0, w0))
-        blocks_w = ce_w.blocks
+    # reference field along the curve, admissible at t=0
+    w0 = _admissible_vector(metric, rng, x0)
+    Wc = random_curve_field(rng, n, w0)
+    Xc = random_curve_field(rng, n, rng.uniform(-1.0, 1.0, n))
+    Yc = random_curve_field(rng, n, rng.uniform(-1.0, 1.0, n))
+    blocks_w = christoffel(metric, TangentSample(x0, w0)).blocks
 
-        def D(F):
-            return cov_deriv_along(metric, curve, Wc, F, 0.0)
+    def D(F):
+        return cov_deriv_along(metric, curve, Wc, F, 0.0)
 
-        Xv, Yv = Xc.value(0.0), Yc.value(0.0)
-        dX, dY, dW = Xc.derivative(0.0), Yc.derivative(0.0), Wc.derivative(0.0)
-        DX, DY, DW = D(Xc), D(Yc), D(Wc)
-        gw = blocks_w.g
-        lhs = (
-            float(Xv @ (np.einsum("ijl,l->ij", blocks_w.dg_dx, vel0)) @ Yv)
-            + 2.0 * float(np.einsum("qij,q,i,j->", blocks_w.C, dW, Xv, Yv))
-            + float(dX @ gw @ Yv)
-            + float(Xv @ gw @ dY)
-        )
-        rhs = (
-            float(DX @ gw @ Yv)
-            + float(Xv @ gw @ DY)
-            + 2.0 * float(np.einsum("ijk,i,j,k->", blocks_w.C, DW, Xv, Yv))
-        )
-        track.add("almost_g_curve", _rel(lhs - rhs, lhs, rhs), where)
+    Xv, Yv = Xc.value(0.0), Yc.value(0.0)
+    dX, dY, dW = Xc.derivative(0.0), Yc.derivative(0.0), Wc.derivative(0.0)
+    DX, DY, DW = D(Xc), D(Yc), D(Wc)
+    gw = blocks_w.g
+    lhs = (
+        float(Xv @ (np.einsum("ijl,l->ij", blocks_w.dg_dx, vel0)) @ Yv)
+        + 2.0 * float(np.einsum("qij,q,i,j->", blocks_w.C, dW, Xv, Yv))
+        + float(dX @ gw @ Yv)
+        + float(Xv @ gw @ dY)
+    )
+    rhs = (
+        float(DX @ gw @ Yv)
+        + float(Xv @ gw @ DY)
+        + 2.0 * float(np.einsum("ijk,i,j,k->", blocks_w.C, DW, Xv, Yv))
+    )
+    yield "almost_g_curve", _rel(lhs - rhs, lhs, rhs)
 
-        # linearity and Leibniz for the curve derivative
-        a, b = rng.uniform(-2.0, 2.0, 2)
-        combo = FieldAlongCurve(
-            value=lambda t: a * Xc.value(t) + b * Yc.value(t),
-            derivative=lambda t: a * Xc.derivative(t) + b * Yc.derivative(t),
-        )
-        lin = D(combo) - (a * DX + b * DY)
-        track.add("curve_linearity", _rel(lin, DX, DY), where)
+    # linearity and Leibniz for the curve derivative
+    a, b = rng.uniform(-2.0, 2.0, 2)
+    combo = FieldAlongCurve(
+        value=lambda t: a * Xc.value(t) + b * Yc.value(t),
+        derivative=lambda t: a * Xc.derivative(t) + b * Yc.derivative(t),
+    )
+    yield "curve_linearity", _rel(D(combo) - (a * DX + b * DY), DX, DY)
 
-        c0, c1 = rng.uniform(-1.0, 1.0, 2)
-        h = lambda t: t * t + c1 * t + c0
-        hdot = lambda t: 2.0 * t + c1
-        scaled = FieldAlongCurve(
-            value=lambda t: h(t) * Xc.value(t),
-            derivative=lambda t: hdot(t) * Xc.value(t) + h(t) * Xc.derivative(t),
-        )
-        leib = D(scaled) - (hdot(0.0) * Xv + h(0.0) * DX)
-        track.add("curve_leibniz", _rel(leib, D(scaled), DX), where)
+    c0, c1 = rng.uniform(-1.0, 1.0, 2)
+    h = lambda t: t * t + c1 * t + c0
+    hdot = lambda t: 2.0 * t + c1
+    scaled = FieldAlongCurve(
+        value=lambda t: h(t) * Xc.value(t),
+        derivative=lambda t: hdot(t) * Xc.value(t) + h(t) * Xc.derivative(t),
+    )
+    leib = D(scaled) - (hdot(0.0) * Xv + h(0.0) * DX)
+    yield "curve_leibniz", _rel(leib, D(scaled), DX)
 
-        # restriction of a chart field to the curve
-        Vf = extension_field(x0, w0, rng.uniform(-1.0, 1.0, (n, n)))
-        Xf = random_polynomial_field(rng, n, plan.degree, center=x0)
-        lhs_vec = cov_deriv_along(
-            metric, curve, _compose_field(Vf, curve), _compose_field(Xf, curve), 0.0
-        )
-        rhs_vec = nabla(metric, Vf, VectorFieldOnChart.constant(vel0), Xf, x0)
-        track.add(
-            "curve_chart_restriction", _rel(lhs_vec - rhs_vec, lhs_vec, rhs_vec), where
-        )
+    # restriction of a chart field to the curve
+    Vf = extension_field(x0, w0, rng.uniform(-1.0, 1.0, (n, n)))
+    Xf = random_polynomial_field(rng, n, plan.degree, center=x0)
+    lhs_vec = cov_deriv_along(
+        metric, curve, _compose_field(Vf, curve), _compose_field(Xf, curve), 0.0
+    )
+    rhs_vec = nabla(metric, Vf, VectorFieldOnChart.constant(vel0), Xf, x0)
+    yield "curve_chart_restriction", _rel(lhs_vec - rhs_vec, lhs_vec, rhs_vec)
 
-        # two-parameter map commutation
-        c_lin = rng.uniform(-0.5, 0.5, (n, 5))
+    # two-parameter map commutation
+    c_lin = rng.uniform(-0.5, 0.5, (n, 5))
 
-        def lam_func(t, s):
-            return [
-                x0[i]
-                + t * c_lin[i, 0]
-                + s * c_lin[i, 1]
-                + (t * s) * c_lin[i, 2]
-                + (t * t) * c_lin[i, 3]
-                + (s * s) * c_lin[i, 4]
-                for i in range(n)
-            ]
+    def lam_func(t, s):
+        return [
+            x0[i]
+            + t * c_lin[i, 0]
+            + s * c_lin[i, 1]
+            + (t * s) * c_lin[i, 2]
+            + (t * t) * c_lin[i, 3]
+            + (s * s) * c_lin[i, 4]
+            for i in range(n)
+        ]
 
-        lam = TwoParamMap(lam_func, (-0.5, 0.5), (-0.5, 0.5), dim=n)
-        resid = mixed_derivative_commutation(metric, lam, lambda t, s: v0, 0.0, 0.0)
-        parts = lam.partials(0.0, 0.0)
-        scale_terms = np.einsum("kij,i,j->k", G, parts["d_s"], parts["d_t"])
-        track.add(
-            "two_param_commutation",
-            _rel(resid, parts["d_ts"], scale_terms, 1e-2),
-            where,
-        )
+    lam = TwoParamMap(lam_func, (-0.5, 0.5), (-0.5, 0.5), dim=n)
+    resid = mixed_derivative_commutation(metric, lam, lambda t, s: v0, 0.0, 0.0)
+    parts = lam.partials(0.0, 0.0)
+    scale_terms = np.einsum("kij,i,j->k", G, parts["d_s"], parts["d_t"])
+    yield "two_param_commutation", _rel(resid, parts["d_ts"], scale_terms, 1e-2)
 
-        # curve-wise curvature: direct commutator vs hh + H (non-geodesic)
-        u = _nonsingular_pair(rng, v0, n)
-        w = rng.uniform(-1.0, 1.0, n)
-        hh_path = r_along_curve(metric, curve, 0.0, u, w)
-        direct1 = r_along_curve_direct(metric, curve, 0.0, u, w, rng=rng)
-        track.add(
-            "curve_decomposition", _rel(hh_path - direct1, hh_path, direct1), where
-        )
+    # curve-wise curvature: direct commutator vs hh + H (non-geodesic)
+    u = _nonsingular_pair(rng, v0, n)
+    w = rng.uniform(-1.0, 1.0, n)
+    hh_path = r_along_curve(metric, curve, 0.0, u, w)
+    direct1 = r_along_curve_direct(metric, curve, 0.0, u, w, rng=rng)
+    yield "curve_decomposition", _rel(hh_path - direct1, hh_path, direct1)
 
-        # extension independence: a second jet realization and a chart-field
-        # extension sharing the variational first-order data
-        direct2 = r_along_curve_direct(metric, curve, 0.0, u, w, rng=rng)
-        acc2 = curve.acceleration(0.0)
-        udot = -np.einsum("kij,i,j->k", G, u, v0)
-        J = _extension_jacobian(rng, v0, u, acc2, udot, n)
-        Vext = extension_field(x0, v0, J, quad=rng.uniform(-1.0, 1.0, (n, n, n)))
-        Uext = extension_field(x0, u, rng.uniform(-1.0, 1.0, (n, n)))
-        Wext = extension_field(x0, w, rng.uniform(-1.0, 1.0, (n, n)))
-        chart = curvature_field(metric, Vext, Vext, Uext, Wext, x0)
-        worst = max(
-            _rel(direct2 - hh_path, hh_path, direct2),
-            _rel(chart - hh_path, hh_path, chart),
-        )
-        track.add("extension_independence", worst, where)
+    # extension independence: a second jet realization and a chart-field
+    # extension sharing the variational first-order data
+    direct2 = r_along_curve_direct(metric, curve, 0.0, u, w, rng=rng)
+    acc2 = curve.acceleration(0.0)
+    udot = -np.einsum("kij,i,j->k", G, u, v0)
+    J = _extension_jacobian(rng, v0, u, acc2, udot, n)
+    Vext = extension_field(x0, v0, J, quad=rng.uniform(-1.0, 1.0, (n, n, n)))
+    Uext = extension_field(x0, u, rng.uniform(-1.0, 1.0, (n, n)))
+    Wext = extension_field(x0, w, rng.uniform(-1.0, 1.0, (n, n)))
+    chart = curvature_field(metric, Vext, Vext, Uext, Wext, x0)
+    yield "extension_independence", max(
+        _rel(direct2 - hh_path, hh_path, direct2),
+        _rel(chart - hh_path, hh_path, chart),
+    )
 
-        # H symmetry
-        H_uw = h_tensor(metric, curve, 0.0, u, w)
-        H_wu = h_tensor(metric, curve, 0.0, w, u)
-        track.add("h_symmetry", _rel(H_uw - H_wu, H_uw, H_wu, 1e-2), where)
+    # H symmetry
+    H_uw = h_tensor(metric, curve, 0.0, u, w)
+    H_wu = h_tensor(metric, curve, 0.0, w, u)
+    yield "h_symmetry", _rel(H_uw - H_wu, H_uw, H_wu, 1e-2)
 
 
-def _geodesic_identities(metric, rng, plan, track, metric_name):
-    sample = sample_tangent(metric, rng, plan.box)
+def _unit_sample(metric, rng, box):
+    """A drawn sample with v scaled to |L(x, v)| = 1 (kept when L is ~0)."""
+    sample = sample_tangent(metric, rng, box)
     L0 = metric.value(sample.x, sample.v)
-    v0 = sample.v / np.sqrt(abs(L0)) if abs(L0) > 1e-12 else sample.v
-    where = {"metric": metric_name, "kind": "geodesic", "x": sample.x.tolist(), "v": v0.tolist()}
-    curve = geodesic_shoot(metric, sample.x, v0, T=0.6, tol=1e-10)
+    return TangentSample(sample.x, sample.v / np.sqrt(abs(L0)) if abs(L0) > 1e-12 else sample.v)
+
+
+def _geodesic_identities(metric, sample, rng, plan, index):
+    """The acceleration correction H vanishes along a geodesic from the sample."""
+    curve = geodesic_shoot(metric, sample.x, sample.v, T=0.6, tol=1e-10)
     for t in (0.12, 0.33, 0.57):
         x, vel = curve.position(t), curve.velocity(t)
         cp = christoffel_with_partials(metric, x, vel)
@@ -725,7 +698,7 @@ def _geodesic_identities(metric, rng, plan, track, metric_name):
         M = np.einsum("i,j,kijp->kp", u, w, cp.dGamma_dy)
         Lval = abs(metric.value(x, vel))
         scale = max(float(np.abs(M).max()) * max(Lval, 1.0), _FLOOR)
-        track.add("h_zero_geodesic", float(np.abs(H).max()) / scale, where)
+        yield "h_zero_geodesic", float(np.abs(H).max()) / scale
 
 
 _FLAG_CONSTANTS = {
@@ -735,17 +708,11 @@ _FLAG_CONSTANTS = {
 }
 
 
-def _flag_identities(metric, rng, plan, track, metric_name):
-    if metric.name not in _FLAG_CONSTANTS:
-        return
+def _flag_identities(metric, sample, rng, plan, index):
+    """Flag curvature of a family of known constant K at a random flag."""
     ident, K0 = _FLAG_CONSTANTS[metric.name]
-    count = min(plan.samples, 20)
-    for _ in range(count):
-        sample = sample_tangent(metric, rng, plan.box)
-        u = _nonsingular_pair(rng, sample.v, metric.dim)
-        K = flag_curvature(metric, sample, u)
-        where = {"metric": metric_name, "kind": "flag", "x": sample.x.tolist(), "v": sample.v.tolist()}
-        track.add(ident, abs(K - K0), where)
+    u = _nonsingular_pair(rng, sample.v, metric.dim)
+    yield ident, abs(flag_curvature(metric, sample, u) - K0)
 
 
 def _is_real(value, kinds=(int, float, np.integer, np.floating)):
@@ -788,52 +755,40 @@ def run_verification(plan):
     seed.  Returns a VerificationReport whose aggregate flag is the gate."""
     _check_plan(plan)
     rng = np.random.default_rng(plan.seed)
-    track = _Tracker()
-    names = []
+    data = {}  # name -> [max residual, count, where of the max]
     for metric in plan.metrics:
-        names.append(metric.name)
+        flags = min(plan.samples, 20) if metric.name in _FLAG_CONSTANTS else 0
+        sweeps = (
+            ("point", plan.samples, sample_tangent, _point_identities),
+            ("curve", plan.curve_samples, sample_tangent, _curve_identities),
+            ("geodesic", 1, _unit_sample, _geodesic_identities),
+            ("flag", flags, sample_tangent, _flag_identities),
+        )
         with connection_memo():
-            for index in range(plan.samples):
-                sample = sample_tangent(metric, rng, plan.box)
-                where = {
-                    "metric": metric.name,
-                    "kind": "point",
-                    "x": sample.x.tolist(),
-                    "v": sample.v.tolist(),
-                }
-                cp = christoffel_with_partials(metric, sample.x, sample.v)
-                _point_identities(metric, sample, cp, track, where)
-                _field_identities(
-                    metric,
-                    sample,
-                    cp,
-                    rng,
-                    plan,
-                    track,
-                    where,
-                    heavy=index < plan.heavy_samples,
-                )
-            _curve_identities(metric, rng, plan, track, metric.name)
-            _geodesic_identities(metric, rng, plan, track, metric.name)
-            _flag_identities(metric, rng, plan, track, metric.name)
+            for kind, count, sampler, sweep in sweeps:
+                for index in range(count):
+                    sample = sampler(metric, rng, plan.box)
+                    where = {
+                        "metric": metric.name,
+                        "kind": kind,
+                        "x": sample.x.tolist(),
+                        "v": sample.v.tolist(),
+                    }
+                    for name, resid in sweep(metric, sample, rng, plan, index):
+                        entry = data.setdefault(name, [0.0, 0, None])
+                        entry[1] += 1
+                        if resid >= entry[0]:
+                            entry[0], entry[2] = resid, where
 
     results = []
     for name in DEFAULT_TOLERANCES:
-        if name not in track.data:
-            continue
-        max_resid, count, worst = track.data[name]
-        tol = plan.tolerance(name)
-        results.append(
-            IdentityResult(
-                name=name,
-                max_residual=max_resid,
-                tolerance=tol,
-                passed=max_resid <= tol,
-                count=count,
-                worst=worst,
-            )
-        )
-    passed = all(r.passed for r in results)
+        if name in data:
+            max_resid, count, worst = data[name]
+            tol = plan.tolerance(name)
+            results.append(IdentityResult(name, max_resid, tol, max_resid <= tol, count, worst))
     return VerificationReport(
-        results=results, passed=passed, seed=plan.seed, metric_names=names
+        results=results,
+        passed=all(r.passed for r in results),
+        seed=plan.seed,
+        metric_names=[m.name for m in plan.metrics],
     )

@@ -8,6 +8,7 @@ import pytest
 from finsler.connection import VectorFieldOnChart, connection_memo, nabla
 from finsler.curvature import (
     b_tensor,
+    covariant_acceleration,
     curvature_field,
     curvature_field_nested,
     flag_curvature,
@@ -355,6 +356,9 @@ _REFERENCE_HELPERS = {
     "nabla_cartan": _chart(nabla_cartan, 4),
     "b_tensor": _chart(b_tensor, 4),
     "cov_deriv_along": _cov_deriv,
+    "covariant_acceleration": lambda m, x, ref: covariant_acceleration(
+        m, _curve_data(x, ref), 0.0
+    ),
     "mixed_derivative_commutation": _commutation,
     "h_tensor": lambda m, x, ref: h_tensor(m, _curve_data(x, ref), 0.0, _U, _W),
     "r_along_curve": lambda m, x, ref: r_along_curve(m, _curve_data(x, ref), 0.0, _U, _W),
@@ -368,12 +372,17 @@ _REFERENCE_HELPERS = {
 @pytest.mark.parametrize("name", sorted(_REFERENCE_HELPERS))
 def test_reference_helpers_raise_the_metrics_domain_error(name, memo):
     # the reference value (a chart field's value, a field along a curve or a
-    # curve's velocity) is checked once, by metric_blocks
+    # curve's velocity) is checked once, by metric_blocks, also when its
+    # length is not the metric's dimension
     m = builtin("funk", dim=2)
     call = _REFERENCE_HELPERS[name]
     with connection_memo() if memo else contextlib.nullcontext():
         assert np.all(np.isfinite(call(m, [0.1, -0.2], [0.6, 0.3])))
-        for x, ref in (([1.5, 0.2], [0.6, 0.3]), ([0.1, -0.2], [0.0, 0.0])):
+        for x, ref in (
+            ([1.5, 0.2], [0.6, 0.3]),
+            ([0.1, -0.2], [0.0, 0.0]),
+            ([0.1, -0.2], [0.6, 0.3, 0.1]),
+        ):
             for _ in range(2):  # a failure is not memoized: the repeat raises too
                 with pytest.raises(DomainError, match="outside the domain of metric 'funk'"):
                     call(m, x, ref)

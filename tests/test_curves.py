@@ -156,6 +156,24 @@ def test_transport_preserves_norm_along_geodesic():
     assert np.abs(norms - norms[0]).max() <= 1e-8 * abs(norms[0])
 
 
+def test_transport_stops_where_the_reference_point_leaves_the_domain():
+    # the line (t, 0.2) leaves funk's unit ball at t = sqrt(0.96) ~ 0.98; the
+    # inward reference -gamma(t) keeps g_W well conditioned up to the boundary
+    m = builtin("funk", dim=2)
+    line = CurvePath(
+        (0.0, 1.5),
+        lambda t: np.array([t, 0.2]),
+        lambda t: np.array([1.0, 0.0]),
+        lambda t: np.zeros(2),
+    )
+    W = FieldAlongCurve(lambda t: -np.array([t, 0.2]), lambda t: np.array([-1.0, 0.0]))
+    with pytest.raises(IntegrationError, match="reference field left the domain at t=") as info:
+        parallel_transport(m, line, W, [0.2, -0.5], 0.0, 1.5)
+    assert isinstance(info.value.__cause__, DomainError)
+    t_exit = float(str(info.value).rsplit("t=", 1)[1])
+    assert np.sqrt(0.96) <= t_exit <= 1.5
+
+
 # -- geodesics -------------------------------------------------------------------
 
 

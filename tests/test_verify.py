@@ -195,6 +195,79 @@ def test_default_plan_passes_at_dimension_three():
     assert flags["flag_funk"] <= 1e-4  # the constant holds in dimension 3 too
 
 
+# Each report row: the sweep kind that yields it and the residuals it yields
+# per draw of that sweep.  Point draws past `heavy_samples` skip the heavy rows.
+_SWEEP_ROWS = {
+    "point": {
+        "homogeneity": 1,
+        "euler_gvv": 1,
+        "g_zero_homogeneity": 2,
+        "cartan_flagpole": 1,
+        "cartan_symmetry": 1,
+        "cartan_neg_homogeneity": 1,
+        "dg_dy_cartan": 1,
+        "christoffel_symmetry": 1,
+        "gamma_vv": 1,
+        "nonlinear_connection": 1,
+        "christoffel_homogeneity": 3,
+        "torsion_free": 1,
+        "almost_g_field": 1,
+        "koszul": 1,
+        "curvature_antisymmetry": 1,
+        "first_bianchi": 1,
+        "nabla_cartan_flagpole": 1,
+        "nabla_cartan_symmetry": 1,
+    },
+    "heavy": {"curvature_pair_b": 1, "six_b": 1, "second_bianchi": 1},
+    "curve": {
+        "almost_g_curve": 1,
+        "curve_linearity": 1,
+        "curve_leibniz": 1,
+        "curve_chart_restriction": 1,
+        "two_param_commutation": 1,
+        "extension_independence": 1,
+        "curve_decomposition": 1,
+        "h_symmetry": 1,
+    },
+    "geodesic": {"h_zero_geodesic": 3},
+    "flag": {"flag_sphere": 1, "flag_funk": 1, "flag_hyperbolic": 1},
+}
+_FAMILIES = (
+    "euclidean",
+    "riemannian_perturbation",
+    "minkowski_quartic",
+    "funk",
+    "sphere_round",
+    "hyperbolic",
+)
+
+
+@pytest.mark.parametrize("samples, curve_samples, heavy_samples", [(2, 1, 1), (3, 2, 5)])
+def test_sweep_table_rows_and_counts(samples, curve_samples, heavy_samples):
+    plan = VerificationPlan(
+        metrics=[builtin(name, dim=2) for name in _FAMILIES],
+        samples=samples,
+        curve_samples=curve_samples,
+        heavy_samples=heavy_samples,
+        seed=7,
+    )
+    results = run_verification(plan).results
+    # a misspelled row name would show up here as a missing row
+    assert [r.name for r in results] == list(verify.DEFAULT_TOLERANCES)
+    families = len(_FAMILIES)
+    draws = {
+        "point": samples * families,
+        "heavy": min(heavy_samples, samples) * families,
+        "curve": curve_samples * families,
+        "geodesic": families,
+        "flag": min(samples, 20),  # one family per flag row
+    }
+    for r in results:
+        sweep = next(kind for kind, rows in _SWEEP_ROWS.items() if r.name in rows)
+        assert r.count == draws[sweep] * _SWEEP_ROWS[sweep][r.name], r.name
+        assert r.worst["kind"] == ("point" if sweep == "heavy" else sweep), r.name
+
+
 def _max_rel(got, want):
     return float(np.abs(got - want).max()) / max(float(np.abs(want).max()), 1e-300)
 
