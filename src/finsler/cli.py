@@ -132,9 +132,8 @@ def _cmd_geodesic(args):
         + ["L"]
     )
     writer.writerow(header)
-    for t in np.linspace(0.0, args.T, args.points):
-        x = curve.position(t)
-        v = curve.velocity(t)
+    ts = np.linspace(0.0, args.T, args.points)
+    for t, x, v in zip(ts, curve.position(ts).T, curve.velocity(ts).T):
         writer.writerow(
             [f"{t:.12g}"]
             + [f"{c:.17g}" for c in x]

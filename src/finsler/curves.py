@@ -17,8 +17,8 @@ import numpy as np
 from ._dop853 import StepSizeError, dop853
 from .connection import _christoffel_at
 from .curvature import covariant_acceleration
-from .errors import DomainError, IntegrationError
-from .geometry import metric_blocks
+from .errors import DegenerateMetricError, DomainError, IntegrationError
+from .geometry import _gather_blocks, _L_jet
 from .jets import partials, seed
 
 
@@ -31,10 +31,24 @@ def _component_partials(func, dim, values, order):
     return partials(args[0].space, out)
 
 
+def _each_time(func, n):
+    """func, which maps a float t to n components, extended to a 1-D array
+    of m times: the (n, m) array of its values, column by column."""
+
+    def at(t):
+        if np.ndim(t) == 0:
+            return func(t)
+        return np.array([func(s) for s in t], dtype=float).reshape(-1, n).T
+
+    return at
+
+
 class CurvePath:
     """A smooth curve on the chart with velocity and acceleration.
 
-    The three callables map t to arrays.  `from_function` builds them from a
+    The three callables map t to arrays.  `position` and `velocity` also
+    take a 1-D array of m times and return a (dim, m) array whose column k
+    equals the read at the k-th time.  `from_function` builds them from a
     jet-evaluable function of t; integrator output wraps the dense solution
     (velocity is part of the ODE state, the acceleration is the ODE
     right-hand side on the solution).
@@ -62,7 +76,7 @@ class CurvePath:
         def acc(t):
             return _component_partials(func, n, [t], 2)[2][:, 0, 0]
 
-        return cls(domain, pos, vel, acc)
+        return cls(domain, _each_time(pos, n), _each_time(vel, n), acc)
 
     def position(self, t):
         return self._pos(t)
@@ -78,8 +92,7 @@ class CurvePath:
         given grid plus midpoints."""
         ts = np.asarray(ts, dtype=float)
         grid = np.sort(np.concatenate([ts, 0.5 * (ts[1:] + ts[:-1])]))
-        for t in grid:
-            x, v = self.position(t), self.velocity(t)
+        for t, x, v in zip(grid, self.position(grid).T, self.velocity(grid).T):
             if not metric.in_domain(x, v):
                 raise DomainError(
                     f"curve leaves the domain of {metric.name!r} at t={t:g}"
@@ -128,6 +141,9 @@ def cov_deriv_along(metric, curve, W, X, t):
     )
 
 
+_SPRAY_BLOCKS = ("dL_dx", "d2L_dydx", "g")
+
+
 def _spray(metric, x, v):
     """Geodesic right-hand side: xddot = -1/2 g^{-1} (L_{xy} v - L_x).
 
@@ -136,10 +152,10 @@ def _spray(metric, x, v):
     g_ij v^i v^j = L turn the contracted dg/dx into first x-derivatives of
     L and L_y, so an order-2 jet of L suffices.
     """
-    blocks = metric_blocks(metric, x, v, order=2)
-    b = blocks.d2L_dydx @ v - blocks.dL_dx
+    blocks = _gather_blocks(_L_jet(metric, x, v, 2), metric.dim, names=_SPRAY_BLOCKS)
+    b = blocks["d2L_dydx"] @ v - blocks["dL_dx"]
     try:
-        return -0.5 * np.linalg.solve(blocks.g, b)
+        return -0.5 * np.linalg.solve(blocks["g"], b)
     except np.linalg.LinAlgError as exc:
         raise IntegrationError(f"degenerate fundamental tensor at x={x.tolist()}") from exc
 
@@ -209,6 +225,8 @@ def parallel_transport(metric, curve, W, x0, t0, t1):
             ce = _christoffel_at(metric, curve.position(t), W.value(t))
         except DomainError as exc:
             raise IntegrationError(f"reference field left the domain at t={t:g}") from exc
+        except DegenerateMetricError as exc:
+            raise IntegrationError(f"degenerate fundamental tensor along the curve at t={t:g}") from exc
         return -np.einsum("kij,i,j->k", ce.Gamma, X, curve.velocity(t))
 
     try:

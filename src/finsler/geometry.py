@@ -23,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DegenerateMetricError
-from .jets import Jet, jet_space
+from .jets import Jet, jet_space, seed
 
 COND_LIMIT = 1e10
 
@@ -49,17 +49,18 @@ _BLOCKS = (
 
 
 @lru_cache(maxsize=None)
-def _block_gather(n, order, n_outer=0):
+def _block_gather(n, order, n_outer=0, names=None):
     """(name, positions, scales) for every block an L jet of `order` over
-    (n_outer parameters, x, y) holds: `coeffs[positions] * scales` is the
-    block.  With n_outer > 0 the blocks gain a trailing axis holding the
-    value and then its derivative along each parameter."""
+    (n_outer parameters, x, y) holds, or for those in `names`:
+    `coeffs[positions] * scales` is the block.  With n_outer > 0 the blocks
+    gain a trailing axis holding the value and then its derivative along
+    each parameter."""
     tables = jet_space(n_outer + 2 * n, order).partial_tables
     x, y = slice(n_outer, n_outer + n), slice(n_outer + n, n_outer + 2 * n)
     out = []
     for name, factor, fiber, base in _BLOCKS:
         k = fiber + base
-        if k + (n_outer > 0) > order:
+        if k + (n_outer > 0) > order or (names is not None and name not in names):
             continue
         slots = (y,) * fiber + (x,) * base
         pos, scale = (a[slots] for a in tables[k])
@@ -72,10 +73,11 @@ def _block_gather(n, order, n_outer=0):
     return tuple(out)
 
 
-def _gather_blocks(LJ, n, n_outer=0):
-    """Every block held by the L jet `LJ` (see `_block_gather`), by name."""
+def _gather_blocks(LJ, n, n_outer=0, names=None):
+    """Every block held by the L jet `LJ`, or those in the tuple `names`
+    (see `_block_gather`), by name."""
     c = LJ.coeffs
-    table = _block_gather(n, LJ.space.order, n_outer)
+    table = _block_gather(n, LJ.space.order, n_outer, names)
     return {name: c[pos] * scale for name, pos, scale in table}
 
 
@@ -99,18 +101,22 @@ class SampleBlocks:
     dC_dy: np.ndarray = None
 
 
+def _L_jet(metric, x, v, order):
+    """The domain check, then L as a jet of `order` with all 2n directions
+    seeded (x in slots 0..n-1, v in n..2n-1) from one coefficient array."""
+    metric.check_sample(x, v)
+    n = metric.dim
+    seeds = seed(np.concatenate([x, v]), order)
+    return _as_jet(metric.func(seeds[:n], seeds[n:]), seeds[0].space)
+
+
 def metric_blocks(metric, x, v, order):
     """Evaluate L once with all 2n directions seeded and extract every block
     available at the requested order (2, 3 or 4)."""
-    metric.check_sample(x, v)
+    LJ = _L_jet(metric, x, v, order)
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
-    n = metric.dim
-    space = jet_space(2 * n, order)
-    xj = [Jet.variable(space, x[i], i) for i in range(n)]
-    vj = [Jet.variable(space, v[i], n + i) for i in range(n)]
-    LJ = _as_jet(metric.func(xj, vj), space)
-    return SampleBlocks(x=x, v=v, order=order, L=LJ.value, **_gather_blocks(LJ, n))
+    return SampleBlocks(x=x, v=v, order=order, L=LJ.value, **_gather_blocks(LJ, metric.dim))
 
 
 def check_nondegenerate(g, context=""):

@@ -88,14 +88,21 @@ class JetSpace:
     def _product_table(self, da, db, cap):
         """The rows (i, j, k) of the multiplication table whose factor slots
         have degree <= da and <= db and whose output slot has degree <= cap,
-        in the full table's order."""
-        key = (da, db, cap)
-        table = self._tables.get(key)
-        if table is None:
-            deg = np.array([sum(m) for m in self.monomials])
-            keep = (deg[self._mul_i] <= da) & (deg[self._mul_j] <= db) & (deg[self._mul_k] <= cap)
-            table = self._tables[key] = (self._mul_i[keep], self._mul_j[keep], self._mul_k[keep])
+        in the full table's order; kept in `_tables` under (da, db, cap)."""
+        deg = np.array([sum(m) for m in self.monomials])
+        keep = (deg[self._mul_i] <= da) & (deg[self._mul_j] <= db) & (deg[self._mul_k] <= cap)
+        table = self._tables[da, db, cap] = (self._mul_i[keep], self._mul_j[keep], self._mul_k[keep])
         return table
+
+    @cached_property
+    def seed_units(self):
+        """(nvars, size) array whose row `slot` is one unit of the seed
+        variable in `slot`: graded-lex order puts x_slot's degree-1 monomial
+        at nvars - slot."""
+        units = np.zeros((self.nvars, self.size))
+        slots = np.arange(self.nvars)
+        units[slots, self.nvars - slots] = 1.0
+        return units
 
     @cached_property
     def partial_tables(self):
@@ -222,8 +229,9 @@ class Jet:
 
     def __mul__(self, other):
         if isinstance(other, Jet):
-            self._check(other)
             sp = self.space
+            if other.space is not sp:
+                raise ValueError("cannot mix jets from different spaces")
             if self.degree == other.degree == sp.order:
                 prod = self.coeffs[sp._mul_i] * other.coeffs[sp._mul_j]
                 return _jet(sp, np.bincount(sp._mul_k, weights=prod, minlength=sp.size), sp.order)
@@ -239,7 +247,8 @@ class Jet:
         table pairs within both degree bounds; slots above cap are zero."""
         sp = self.space
         degree = min(self.degree + other.degree, cap)
-        i, j, k = sp._product_table(self.degree, other.degree, degree)
+        key = (self.degree, other.degree, degree)
+        i, j, k = sp._tables.get(key) or sp._product_table(*key)
         prod = self.coeffs[i] * other.coeffs[j]
         return _jet(sp, np.bincount(k, weights=prod, minlength=sp.size), degree)
 
@@ -259,6 +268,8 @@ class Jet:
     def __pow__(self, exponent):
         if not isinstance(exponent, _SCALAR_TYPES):
             return NotImplemented
+        if exponent == 2:
+            return self * self
         p = float(exponent)
         if p.is_integer() and abs(p) <= MAX_ORDER:
             p = int(p)
@@ -288,10 +299,18 @@ class Jet:
         """Evaluate sum_k series[k] * (self - value)^k by Horner, for a series
         of order + 1 terms.  w = self - value has no constant term, so a slot
         of degree d feeds only degrees > d of the next product: the step
-        with r multiplications still to come keeps degrees <= order - r."""
+        with r multiplications still to come keeps degrees <= order - r.
+        The first step, series[-1] * w + series[-2], is a scalar product
+        kept to degree 1; adding 0.0 turns -0.0 into 0.0, as the table
+        product's bincount does."""
+        sp = self.space
         w = self - self.value
-        result = Jet.constant(self.space, series[-1])
-        for cap, c in enumerate(reversed(series[:-1]), start=1):
+        top = sp.nvars + 1
+        head = np.zeros(sp.size)
+        head[:top] = w.coeffs[:top] * series[-1] + 0.0
+        head[0] += series[-2]
+        result = _jet(sp, head, min(w.degree, 1))
+        for cap, c in enumerate(reversed(series[:-2]), start=2):
             result = result._times(w, cap) + c
         return result
 
@@ -359,12 +378,15 @@ def _jet(space, coeffs, degree):
 
 def seed(values, order):
     """One jet per value, each with a unit first-order coefficient in its own
-    slot (the standard forward-mode seeding)."""
-    values = list(values)
-    if not values:
-        raise ValueError("seed needs at least one value")
+    slot (the standard forward-mode seeding): `Jet.variable(space, values[i],
+    i)` for every i, as rows of one coefficient array."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 1 or not values.size:
+        raise ValueError("seed needs a non-empty sequence of values")
     space = jet_space(len(values), order)
-    return [Jet.variable(space, v, i) for i, v in enumerate(values)]
+    coeffs = space.seed_units.copy()
+    coeffs[:, 0] = values
+    return [_jet(space, row, 1) for row in coeffs]
 
 
 def partials(space, components):

@@ -58,7 +58,7 @@ class MetricField:
         v = np.asarray(v, dtype=float)
         if len(x) != self.dim or len(v) != self.dim:
             return False
-        if not np.any(v != 0.0):
+        if not v.any():
             return False
         if self.predicate is not None and not self.predicate(x, v):
             return False

@@ -719,13 +719,17 @@ def _is_real(value, kinds=(int, float, np.integer, np.floating)):
     return isinstance(value, kinds) and not isinstance(value, bool)
 
 
+# the README's working range
+_MAX_DIM = 8
+
+
 def _check_plan(plan):
     """Refuse a plan that cannot be swept as written, before any sampling."""
     for metric in plan.metrics:
-        if metric.dim < 2:
+        if not 2 <= metric.dim <= _MAX_DIM:
             raise FinslerError(
                 f"metric {metric.name!r} has dimension {metric.dim}; "
-                "verification needs dimension 2 or more"
+                f"verification needs dimension 2 to {_MAX_DIM}"
             )
     for name in ("samples", "curve_samples", "heavy_samples", "degree"):
         value = getattr(plan, name)

@@ -183,6 +183,32 @@ def test_verify_failure_exit_code(tmp_path):
     assert main(["verify", "--plan", str(path)]) == 1
 
 
+@pytest.mark.parametrize("T", ["1.0", "-1.0"])
+def test_geodesic_with_one_point_writes_the_start(T, tmp_path):
+    out = tmp_path / "trace.csv"
+    argv = ["geodesic", "--metric", "funk", "--x0=0.1,-0.2", "--v0=0.3,0.5", "--T", T, "--points", "1"]
+    assert main(argv + ["--out", str(out)]) == 0
+    rows = list(csv.reader(out.read_text().splitlines()))
+    assert rows[0] == ["t", "x1", "x2", "v1", "v2", "L"]
+    assert len(rows) == 2
+    assert [float(c) for c in rows[1][:5]] == [0.0, 0.1, -0.2, 0.3, 0.5]
+
+
+def test_plan_metric_above_dimension_eight_is_one_error_line(tmp_path, capsys):
+    from finsler.jets import jet_space
+
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps({"dim": 9, "metrics": ["euclidean"]}))
+    builds = jet_space.cache_info().misses
+    assert main(["verify", "--plan", str(path)]) == 1
+    assert jet_space.cache_info().misses == builds
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip().splitlines() == [
+        "error: metric 'euclidean' has dimension 9; verification needs dimension 2 to 8"
+    ]
+
+
 def test_table_sphere_grid(sphere_file, tmp_path):
     out = tmp_path / "table.csv"
     code = main(

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from finsler import curves
+from finsler._dop853 import dop853
 from finsler.curvature import covariant_acceleration
 from finsler.curves import (
     CurvePath,
@@ -16,10 +18,10 @@ from finsler.curves import (
     mixed_derivative_commutation,
     parallel_transport,
 )
-from finsler.errors import DomainError, IntegrationError
+from finsler.errors import DegenerateMetricError, DomainError, IntegrationError
 from finsler.geometry import metric_blocks
-from finsler.metrics import TangentSample, builtin, parse_metric
-from finsler.verify import perturbed_riemannian
+from finsler.metrics import MetricField, TangentSample, builtin, parse_metric
+from finsler.verify import perturbed_riemannian, random_curve
 
 
 def test_curve_velocity_and_acceleration_from_jets():
@@ -154,6 +156,24 @@ def test_transport_preserves_norm_along_geodesic():
         norms.append(float(xv @ g @ xv))
     norms = np.array(norms)
     assert np.abs(norms - norms[0]).max() <= 1e-8 * abs(norms[0])
+
+
+@pytest.mark.parametrize("reference", [[1.0, 0.0], [-1.0, 0.0]])
+def test_transport_ends_in_integration_error_for_either_reference(reference):
+    # along (t, 0.2) near funk's boundary, g_W for W = [1, 0] degenerates
+    # (condition number ~ 2 / (1 - |x|^2)) before the curve leaves the
+    # ball; for W = [-1, 0] it stays near 2 and the domain check stops it
+    m = builtin("funk", dim=2)
+    line = CurvePath(
+        (0.0, 1.5),
+        lambda t: np.array([t, 0.2]),
+        lambda t: np.array([1.0, 0.0]),
+        lambda t: np.zeros(2),
+    )
+    with pytest.raises(IntegrationError) as info:
+        parallel_transport(m, line, FieldAlongCurve.from_constant(reference), [0.2, -0.5], 0.0, 1.5)
+    cause = DegenerateMetricError if reference[0] > 0 else DomainError
+    assert isinstance(info.value.__cause__, cause)
 
 
 def test_transport_stops_where_the_reference_point_leaves_the_domain():
@@ -324,6 +344,62 @@ def test_integration_stops_when_leaving_domain():
     m = parse_metric("dim = 2\nL = v1*v1 + v2*v2\ndomain = 0.25 - x1*x1 - x2*x2\n")
     with pytest.raises(IntegrationError, match="geodesic left the domain"):
         geodesic_shoot(m, [0.0, 0.0], [1.0, 0.0], 2.0)
+
+
+def _assert_array_reads_equal_scalar_reads(curve, ts):
+    for read in (curve.position, curve.velocity):
+        columns = read(ts)
+        assert columns.shape == (len(read(ts[0])), len(ts))
+        for k, t in enumerate(ts):
+            np.testing.assert_array_equal(columns[:, k], read(t))
+
+
+@pytest.mark.parametrize("T", [2.0, -2.0])
+def test_geodesic_array_reads_equal_scalar_reads(T):
+    m = builtin("sphere_round", dim=3)
+    curve = geodesic_shoot(m, [0.1, -0.2, 0.15], [0.3, 0.5, -0.2], T)
+    # both ends, interior times and an unsorted order
+    ts = np.concatenate([np.linspace(T, 0.0, 23), [0.5 * T, 0.0, T / 3]])
+    _assert_array_reads_equal_scalar_reads(curve, ts)
+
+
+def test_function_and_sweep_curve_array_reads_equal_scalar_reads():
+    ts = np.linspace(-1.0, 1.0, 9)[::-1]
+    jet_curve = CurvePath.from_function(lambda t: [0.1 + 0.3 * t, -0.2 + 0.4 * t * t, 0.5], (-1.0, 1.0))
+    sample = TangentSample([0.1, -0.2], [0.3, 0.5])
+    for curve in (jet_curve, random_curve(np.random.default_rng(3), sample)):
+        _assert_array_reads_equal_scalar_reads(curve, ts)
+        assert curve.position(ts[:0]).shape == (len(curve.position(0.0)), 0)
+
+
+def test_each_geodesic_rhs_evaluates_L_once_and_checks_its_sample_once(monkeypatch):
+    counts = {"rhs": 0, "L": 0, "check_sample": 0}
+    base = builtin("funk", dim=2)
+
+    def L(x, v):
+        counts["L"] += 1
+        return base.func(x, v)
+
+    def counted_dop853(fun, *args):
+        def rhs(t, y):
+            counts["rhs"] += 1
+            return fun(t, y)
+
+        return dop853(rhs, *args)
+
+    check_sample = MetricField.check_sample
+
+    def counted_check_sample(self, x, v):
+        counts["check_sample"] += 1
+        return check_sample(self, x, v)
+
+    monkeypatch.setattr(curves, "dop853", counted_dop853)
+    monkeypatch.setattr(MetricField, "check_sample", counted_check_sample)
+    m = MetricField("funk", 2, L, base.predicate)
+    geodesic_shoot(m, [0.1, -0.2], [0.3, 0.5], 1.5)
+    assert counts["rhs"] > 50
+    # the shot's start is checked once before the integration
+    assert counts == {"rhs": counts["rhs"], "L": counts["rhs"], "check_sample": counts["rhs"] + 1}
 
 
 def test_curve_admissibility_grid_check():

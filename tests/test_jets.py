@@ -9,11 +9,11 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finsler import jets
+from finsler import geometry, jets
 from finsler.curvature import r_along_curve_direct
 from finsler.geometry import metric_blocks
 from finsler.jets import Jet, jet_space, partials, seed
-from finsler.metrics import builtin, load_metric
+from finsler.metrics import builtin, load_metric, parse_metric
 from finsler.verify import random_curve, sample_tangent
 
 
@@ -262,6 +262,8 @@ def test_large_integer_power_of_zero_base():
 def test_small_integer_powers_stay_repeated_products():
     t, s = seed([0.7, -0.4], 4)
     u = t * s + 1.3 * t
+    for two in (2, 2.0, np.int64(2)):
+        np.testing.assert_array_equal((u**two).coeffs, (u * u).coeffs)
     np.testing.assert_array_equal((u**3).coeffs, (u * u * u).coeffs)
     np.testing.assert_array_equal((u**-4.0).coeffs, (u * u * u * u)._reciprocal().coeffs)
 
@@ -329,6 +331,55 @@ def test_restricted_products_and_compose_equal_the_full_table(nvars, order, monk
             np.testing.assert_array_equal(g, w, err_msg=name)
 
 
+def _constant_start_compose(self, series):
+    """Horner from a constant jet with every product over the full table:
+    the reference for the scalar first step of `Jet._compose`."""
+    w = self - self.value
+    result = Jet.constant(self.space, series[-1])
+    for c in reversed(series[:-1]):
+        result = _full_times(result, w, None) + c
+    return result
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+@pytest.mark.parametrize("nvars", [1, 2, 4])
+def test_compose_equals_the_constant_start_horner_over_the_full_table(nvars, order, monkeypatch):
+    rng = np.random.default_rng(10 * nvars + order)
+    space = jet_space(nvars, order)
+    # value 0 gives -0.0 terms in the sin, cos and exp series
+    values = (rng.uniform(0.5, 1.5), 0.0)
+    cases = [_bounded_jet(rng, space, d, value) for d in range(order + 1) for value in values]
+    cases.append(seed(rng.uniform(0.5, 1.5, nvars), order)[-1])
+    got = {}
+    for k, a in enumerate(cases):
+        for name, f in _COMPOSED.items():
+            try:
+                got[k, name] = f(a)
+            except (ValueError, ZeroDivisionError):
+                pass
+    assert {name for _, name in got} == set(_COMPOSED)
+    monkeypatch.setattr(Jet, "_compose", _constant_start_compose)
+    for (k, name), have in got.items():
+        want = _COMPOSED[name](cases[k])
+        # bit patterns, so that -0.0 and 0.0 differ
+        bits = [jet.coeffs.view(np.int64) for jet in (have, want)]
+        np.testing.assert_array_equal(*bits, err_msg=f"{name} case {k}")
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+@pytest.mark.parametrize("nvars", [1, 2, 3, 6, 8])
+def test_seed_rows_equal_jet_variable(nvars, order):
+    values = np.random.default_rng(nvars).uniform(-2.0, 2.0, nvars)
+    values[0] = -0.0
+    seeds = seed(values, order)
+    space = jet_space(nvars, order)
+    assert len(seeds) == nvars
+    for slot, (jet, value) in enumerate(zip(seeds, values)):
+        want = Jet.variable(space, value, slot)
+        assert jet.space is space and jet.degree == want.degree == 1
+        np.testing.assert_array_equal(jet.coeffs.view(np.int64), want.coeffs.view(np.int64))
+
+
 _BUILTIN_NAMES = ["euclidean", "minkowski_quartic", "sphere_round", "hyperbolic", "funk", "riemannian_perturbation"]
 _BENCH_METRICS = Path(__file__).resolve().parents[1] / "bench" / "metrics"
 
@@ -357,7 +408,9 @@ def test_every_jet_is_zero_above_its_degree(monkeypatch):
     make = jets._jet
     monkeypatch.setattr(jets, "_jet", checked)
     rng = np.random.default_rng(4)
-    for metric in _metrics_under_test():
+    # x1^0 is a constant jet inside L
+    unit_power = parse_metric("dim = 2\nL = x1^0 * (v1^2 + v2^2)\n")
+    for metric in _metrics_under_test() + [unit_power]:
         s = _sample(metric, rng)
         for order in (2, 3, 4):
             metric_blocks(metric, s.x, s.v, order)
@@ -372,7 +425,7 @@ def test_metric_blocks_equal_a_run_from_full_degree_seeds(monkeypatch):
     rng = np.random.default_rng(8)
     runs = [(m, _sample(m, rng)) for m in _metrics_under_test()]
     got = [[vars(metric_blocks(m, s.x, s.v, order)) for order in (2, 3, 4)] for m, s in runs]
-    constant, variable = Jet.constant.__func__, Jet.variable.__func__
+    constant = Jet.constant.__func__
 
     def full(make):
         def seed_at_full_degree(cls, space, *args):
@@ -382,8 +435,14 @@ def test_metric_blocks_equal_a_run_from_full_degree_seeds(monkeypatch):
 
         return classmethod(seed_at_full_degree)
 
+    def seeds_at_full_degree(values, order):
+        out = seed(values, order)
+        for jet in out:
+            jet.degree = order
+        return out
+
     monkeypatch.setattr(Jet, "constant", full(constant))
-    monkeypatch.setattr(Jet, "variable", full(variable))
+    monkeypatch.setattr(geometry, "seed", seeds_at_full_degree)
     for (m, s), blocks in zip(runs, got):
         for order, have in zip((2, 3, 4), blocks):
             want = vars(metric_blocks(m, s.x, s.v, order))

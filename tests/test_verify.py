@@ -119,6 +119,15 @@ def test_dimension_one_plan_is_refused_before_sampling():
         run_verification(plan)
 
 
+def test_plan_above_dimension_eight_is_refused_before_any_jet_table():
+    builds = jets.jet_space.cache_info().misses
+    for dim in (9, 12):
+        plan = VerificationPlan(metrics=[builtin("euclidean", dim=2), builtin("funk", dim=dim)])
+        with pytest.raises(FinslerError, match=f"'funk' has dimension {dim}; verification needs dimension 2 to 8"):
+            run_verification(plan)
+    assert jets.jet_space.cache_info().misses == builds
+
+
 @pytest.mark.parametrize(
     "name, value, message",
     [
