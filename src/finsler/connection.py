@@ -274,7 +274,10 @@ def nabla(metric, V, X, Y, x):
     """
     x = np.asarray(x, dtype=float)
     ce = _christoffel_at(metric, x, V.value(x))
-    Xv = X.value(x)
-    Yv = Y.value(x)
-    JY = Y.jacobian(x)
-    return JY @ Xv + np.einsum("kij,i,j->k", ce.Gamma, Xv, Yv)
+    return _covariant(ce.Gamma, X.value(x), Y.jacobian(x), Y.value(x))
+
+
+def _covariant(Gamma, A, JB, B):
+    """nabla_A B from held values: the direction A, and B's Jacobian and
+    value at the point, with the symbols Gamma there."""
+    return JB @ A + np.einsum("kij,i,j->k", Gamma, A, B)

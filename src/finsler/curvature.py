@@ -2,9 +2,13 @@
 hh-curvature block, the curve-wise operator with its acceleration correction,
 and flag curvature.
 
-Index conventions for the rank-4 block (antisymmetric in its last two axes):
+One formula assembles curvature: the block Rc[k, a, b, c] of R^V(e_a, e_b)e_c
+from the Christoffel partials and the reference field's Jacobian J.  The
+rank-4 hh-block is Rc at J = -N (a reference field horizontally parallel at
+the sample), reordered; it is antisymmetric in its last two axes:
 
-    R4[i, j, k, l] = dGamma^i_jl/dx^k - N^p_k dGamma^i_jl/dy^p
+    R4[i, j, k, l] = Rc[i, k, l, j] at J = -N
+                   = dGamma^i_jl/dx^k - N^p_k dGamma^i_jl/dy^p
                    - dGamma^i_jk/dx^l + N^p_l dGamma^i_jk/dy^p
                    + Gamma^i_hk Gamma^h_jl - Gamma^i_hl Gamma^h_jk
 
@@ -22,10 +26,10 @@ import numpy as np
 
 from .connection import (
     _christoffel_at,
+    _covariant,
     christoffel_core,
     christoffel_with_partials,
     inverse_with_tangent,
-    nabla,
     tangent_einsum,
     tangent_map,
 )
@@ -34,16 +38,9 @@ from .jets import seed
 
 
 def hh_block(cp):
-    """Assemble the rank-4 curvature block from Christoffel partials."""
-    dGx, dGy, N, G = cp.dGamma_dx, cp.dGamma_dy, cp.N, cp.Gamma
-    return (
-        np.einsum("ijlk->ijkl", dGx)
-        - np.einsum("pk,ijlp->ijkl", N, dGy)
-        - dGx
-        + np.einsum("pl,ijkp->ijkl", N, dGy)
-        + np.einsum("ihk,hjl->ijkl", G, G)
-        - np.einsum("ihl,hjk->ijkl", G, G)
-    )
+    """The rank-4 curvature block R4[i, j, k, l]: the field block of a
+    reference field with Jacobian -N at the sample, reordered."""
+    return np.einsum("iklj->ijkl", field_curvature_block(cp, -cp.N))
 
 
 def hh_curvature(metric, sample):
@@ -150,42 +147,37 @@ def cartan_derivative_block(cp, V_jac):
     )
 
 
-def nabla_cartan_block(metric, V, x):
-    """(nabla^V C_V)[l, i, j, k]: derivative slot first, then the three
-    symmetric slots.  Returns the block together with the Christoffel data."""
+def nabla_cartan(metric, V, X, Y, Z, W, x):
+    """nabla^V_X C_V(Y, Z, W) at x (tensorial contraction of the block)."""
     x = np.asarray(x, dtype=float)
     cp = christoffel_with_partials(metric, x, V.value(x))
     block = cartan_derivative_block(cp, V.jacobian(x))
-    return block, cp
-
-
-def nabla_cartan(metric, V, X, Y, Z, W, x):
-    """nabla^V_X C_V(Y, Z, W) at x (tensorial contraction of the block)."""
-    block, _ = nabla_cartan_block(metric, V, x)
-    return float(
-        np.einsum(
-            "lijk,l,i,j,k->",
-            block,
-            X.value(x),
-            Y.value(x),
-            Z.value(x),
-            W.value(x),
-        )
-    )
+    values = [F.value(x) for F in (X, Y, Z, W)]
+    return float(np.einsum("lijk,l,i,j,k->", block, *values))
 
 
 def b_tensor(metric, V, X, Y, Z, W, x):
     """B^V(X,Y,Z,W) = nabla_Y C(nabla_X V, Z, W) - nabla_X C(nabla_Y V, Z, W)
     + C(R^V(Y,X)V, Z, W)."""
-    block, cp = nabla_cartan_block(metric, V, x)
-    Zv, Wv = Z.value(x), W.value(x)
-    nxV = nabla(metric, V, X, V, x)
-    nyV = nabla(metric, V, Y, V, x)
-    Rv = curvature_field(metric, V, Y, X, V, x)
-    t1 = np.einsum("lijk,l,i,j,k->", block, Y.value(x), nxV, Zv, Wv)
-    t2 = np.einsum("lijk,l,i,j,k->", block, X.value(x), nyV, Zv, Wv)
-    t3 = np.einsum("ijk,i,j,k->", cp.cartan, Rv, Zv, Wv)
-    return float(t1 - t2 + t3)
+    x = np.asarray(x, dtype=float)
+    cp = christoffel_with_partials(metric, x, V.value(x))
+    J = V.jacobian(x)
+    Rc, nc = field_curvature_block(cp, J), cartan_derivative_block(cp, J)
+    t1, t2, t3 = _b_terms(cp, J, Rc, nc, *(F.value(x) for F in (X, Y, Z, W)))
+    return t1 - t2 + t3
+
+
+def _b_terms(cp, V_jac, Rc, nc, X, Y, Z, W):
+    """The three terms (t1, t2, t3) of B^V(X, Y, Z, W) = t1 - t2 + t3 from
+    held values: the reference field's Jacobian, its curvature block Rc and
+    Cartan derivative block nc at the sample of cp, and X, Y, Z, W there."""
+    nxV = _covariant(cp.Gamma, X, V_jac, cp.v)
+    nyV = _covariant(cp.Gamma, Y, V_jac, cp.v)
+    Rv = np.einsum("kabc,a,b,c->k", Rc, Y, X, cp.v)
+    t1 = float(np.einsum("lijk,l,i,j,k->", nc, Y, nxV, Z, W))
+    t2 = float(np.einsum("lijk,l,i,j,k->", nc, X, nyV, Z, W))
+    t3 = float(np.einsum("ijk,i,j,k->", cp.cartan, Rv, Z, W))
+    return t1, t2, t3
 
 
 # -- curvature along curves ----------------------------------------------------

@@ -21,13 +21,14 @@ from numpy.polynomial.polynomial import polyder, polyval
 
 from . import jets
 from .connection import (
-    VectorFieldOnChart,
+    _covariant,
     christoffel,
     christoffel_with_partials,
     connection_memo,
     nabla,
 )
 from .curvature import (
+    _b_terms,
     cartan_derivative_block,
     covariant_acceleration,
     curvature_field,
@@ -391,23 +392,20 @@ def _field_identities(metric, sample, cp, rng, plan, heavy):
     jacs = [f.jacobian(x0) for f in fields]
     JX, JY, JZ, JW = jacs
 
-    def nab(Av, JB, Bv):
-        return JB @ Av + np.einsum("kij,i,j->k", G, Av, Bv)
-
     # torsion: nabla_X Y - nabla_Y X - [X, Y]
     bracket = JY @ Xv - JX @ Yv
-    t_lhs = nab(Xv, JY, Yv) - nab(Yv, JX, Xv)
+    t_lhs = _covariant(G, Xv, JY, Yv) - _covariant(G, Yv, JX, Xv)
     yield "torsion_free", _rel(t_lhs - bracket, t_lhs, bracket)
 
-    nXV = nab(Xv, JV, v0)
-    nYV = nab(Yv, JV, v0)
-    nZV = nab(Zv, JV, v0)
+    nXV = _covariant(G, Xv, JV, v0)
+    nYV = _covariant(G, Yv, JV, v0)
+    nZV = _covariant(G, Zv, JV, v0)
 
     # almost g-compatibility (field form)
     lhs = _g_derivative_along(cp.blocks, JV, Xv, Yv, Zv, JY, JZ)
     rhs = (
-        float(nab(Xv, JY, Yv) @ g @ Zv)
-        + float(Yv @ g @ nab(Xv, JZ, Zv))
+        float(_covariant(G, Xv, JY, Yv) @ g @ Zv)
+        + float(Yv @ g @ _covariant(G, Xv, JZ, Zv))
         + 2.0 * float(np.einsum("ijk,i,j,k->", C, nXV, Yv, Zv))
     )
     yield "almost_g_field", _rel(lhs - rhs, lhs, rhs)
@@ -427,7 +425,7 @@ def _field_identities(metric, sample, cp, rng, plan, heavy):
             + float(np.einsum("ijk,i,j,k->", C, nZV, Xv, Yv))
         )
     )
-    koszul_lhs = 2.0 * float(nab(Xv, JY, Yv) @ g @ Zv)
+    koszul_lhs = 2.0 * float(_covariant(G, Xv, JY, Yv) @ g @ Zv)
     yield "koszul", _rel(koszul_lhs - koszul_rhs, koszul_lhs, koszul_rhs)
 
     # curvature identities
@@ -455,13 +453,11 @@ def _field_identities(metric, sample, cp, rng, plan, heavy):
     rhs = -float(np.einsum("ijk,i,j,k->", C, nXV, Zv, Wv))
     yield "nabla_cartan_flagpole", _rel(lhs - rhs, lhs, rhs, np.abs(nc).max())
 
-    def B(Pv, Qv, Rv_, Sv):
+    def B(*slots):
         """B value together with the size of its largest constituent (the
         constituents are terms of the identities below, so they set the
         scale residuals are relative to)."""
-        t1 = float(np.einsum("lijk,l,i,j,k->", nc, Qv, nab(Pv, JV, v0), Rv_, Sv))
-        t2 = float(np.einsum("lijk,l,i,j,k->", nc, Pv, nab(Qv, JV, v0), Rv_, Sv))
-        t3 = float(np.einsum("ijk,i,j,k->", C, R(Qv, Pv, v0), Rv_, Sv))
+        t1, t2, t3 = _b_terms(cp, JV, Rc, nc, *slots)
         return t1 - t2 + t3, max(abs(t1), abs(t2), abs(t3))
 
     if heavy:
@@ -505,9 +501,9 @@ def _field_identities(metric, sample, cp, rng, plan, heavy):
             first = dT + np.einsum("kij,i,j->k", G, Av, R(B1v, B2v, Wv))
             term = (
                 first
-                - R(nab(Av, jacs[b1], B1v), B2v, Wv)
-                - R(B1v, nab(Av, jacs[b2], B2v), Wv)
-                - R(B1v, B2v, nab(Av, JW, Wv))
+                - R(_covariant(G, Av, jacs[b1], B1v), B2v, Wv)
+                - R(B1v, _covariant(G, Av, jacs[b2], B2v), Wv)
+                - R(B1v, B2v, _covariant(G, Av, JW, Wv))
             )
             total = total + term
             scale = max(scale, float(np.abs(first).max()), float(np.abs(term).max()))
@@ -628,7 +624,7 @@ def _curve_identities(metric, sample, rng, plan, index):
     lhs_vec = cov_deriv_along(
         metric, curve, _compose_field(Vf, curve), _compose_field(Xf, curve), 0.0
     )
-    rhs_vec = nabla(metric, Vf, VectorFieldOnChart.constant(vel0), Xf, x0)
+    rhs_vec = nabla(metric, Vf, extension_field(x0, vel0, np.zeros((n, n))), Xf, x0)
     yield "curve_chart_restriction", _rel(lhs_vec - rhs_vec, lhs_vec, rhs_vec)
 
     # two-parameter map commutation
@@ -719,8 +715,10 @@ def _is_real(value, kinds=(int, float, np.integer, np.floating)):
     return isinstance(value, kinds) and not isinstance(value, bool)
 
 
-# the README's working range
+# the README's working range; at dim 8 a field of degree 6 has 3003
+# monomials, and its derivative tables grow as C(n + degree, n) n^3
 _MAX_DIM = 8
+_MAX_DEGREE = 6
 
 
 def _check_plan(plan):
@@ -735,6 +733,8 @@ def _check_plan(plan):
         value = getattr(plan, name)
         if not (_is_real(value, (int, np.integer)) and value >= 0):
             raise FinslerError(f"plan {name} must be a non-negative integer, got {value!r}")
+    if plan.degree > _MAX_DEGREE:
+        raise FinslerError(f"plan degree must be at most {_MAX_DEGREE}, got {plan.degree!r}")
     box = plan.box
     if not (
         isinstance(box, (tuple, list, np.ndarray))

@@ -5,7 +5,12 @@ import contextlib
 import numpy as np
 import pytest
 
-from finsler.connection import VectorFieldOnChart, connection_memo, nabla
+from finsler.connection import (
+    VectorFieldOnChart,
+    christoffel_with_partials,
+    connection_memo,
+    nabla,
+)
 from finsler.curvature import (
     b_tensor,
     covariant_acceleration,
@@ -31,6 +36,7 @@ from finsler.curves import (
 from finsler.errors import DomainError
 from finsler.metrics import TangentSample, builtin
 from finsler.verify import (
+    default_metrics,
     extension_field,
     perturbed_riemannian,
     random_curve,
@@ -207,6 +213,29 @@ def test_jacobi_operator_constant_curvature_form():
     got = jacobi_operator(m, s, u)
     want = float(s.v @ g @ s.v) * u - float(s.v @ g @ u) * s.v
     np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-11)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_field_curvature_of_a_horizontally_parallel_reference_is_the_jacobi_operator(dim):
+    # the paper's statement at a point: for a reference field V with V(x) = v
+    # and Jacobian -N there, R^V(u, v)v is the Chern Jacobi operator, whatever
+    # V's second derivatives; a generic Jacobian gives another operator
+    rng = np.random.default_rng(40 + dim)
+    for m in default_metrics(dim):
+        for _ in range(3):
+            s = sample_tangent(m, rng, (-0.5, 0.5))
+            u = VectorFieldOnChart.constant(rng.uniform(-1.0, 1.0, dim))
+            v = VectorFieldOnChart.constant(s.v)
+            want = jacobi_operator(m, s, u.value(s.x))
+            N = christoffel_with_partials(m, s.x, s.v).N
+            quad = rng.uniform(-1.0, 1.0, (dim, dim, dim))
+            V = extension_field(s.x, s.v, -N, quad=quad)
+            got = curvature_field(m, V, u, v, v, s.x)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), m.name
+            if m.name == "funk":
+                generic = extension_field(s.x, s.v, rng.uniform(-1.0, 1.0, (dim, dim)), quad=quad)
+                other = curvature_field(m, generic, u, v, v, s.x)
+                assert np.abs(other - want).max() >= 1e-4 * np.abs(want).max()
 
 
 # -- curvature along curves --------------------------------------------------------

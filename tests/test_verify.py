@@ -146,6 +146,7 @@ def test_plan_above_dimension_eight_is_refused_before_any_jet_table():
         ("tolerances", {"koszul": 0.0}, "'koszul' must be a finite positive"),
         ("tolerances", {"koszul": "1e-9"}, "'koszul' must be a finite positive"),
         ("tolerances", [1e-9], "tolerances must be a mapping"),
+        ("degree", 1000, "degree must be at most 6, got 1000"),
     ],
 )
 def test_bad_plans_are_refused_before_sampling(name, value, message):

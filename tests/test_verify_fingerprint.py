@@ -15,7 +15,7 @@ import pytest
 from finsler.verify import default_plan, run_verification
 
 DATA = Path(__file__).parent / "data" / "verify_fingerprint.json"
-DIMS = (2, 3)
+DIMS = (2, 3, 4)
 
 
 def fingerprint(dim):
