@@ -190,15 +190,13 @@ def _plan_from_file(path):
     if unknown:
         raise FinslerError(f"unknown plan keys: {', '.join(sorted(unknown))}")
     dim = _plan_int(doc.get("dim", 2), "dim")
-    if "seed" in doc and not (_is_real(doc["seed"], (int,)) and doc["seed"] >= 0):
-        raise FinslerError(f"plan seed must be a non-negative integer, got {doc['seed']!r}")
     entries = doc.get("metrics", [])
     if not isinstance(entries, list):
         raise FinslerError(f"plan metrics must be a list, got {entries!r}")
     metrics = [_plan_metric(entry, dim) for entry in entries]
     if not metrics:
         raise FinslerError("plan lists no metrics")
-    # run_verification checks these values before sampling
+    # verify._check_plan checks these values and the seed before sampling
     kwargs = {
         key: doc[key]
         for key in ("samples", "curve_samples", "heavy_samples", "degree", "box", "tolerances")
@@ -217,6 +215,7 @@ def _cmd_verify(args):
         plan.samples = args.samples
     if args.tol is not None:
         plan.tolerances = dict.fromkeys(verify_mod.DEFAULT_TOLERANCES, args.tol)
+    verify_mod._check_plan(plan)  # the CLI hands run_verification only checked plans
     report = run_verification(plan)
     for line in report.summary_lines():
         print(line)

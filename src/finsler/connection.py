@@ -12,17 +12,11 @@ The assembly is written once over values with an optional trailing tangent
 axis: without tangents it returns the symbols at a sample; with the blocks'
 x- and y-derivatives as tangents it returns the symbols together with their
 x- and y-derivatives in a single pass (first-order Taylor arithmetic).
-
-Inside `connection_memo()` both entry points evaluate each (metric, x, v)
-once and hand repeats the same read-only result; outside it every call
-computes afresh.
 """
 
 from __future__ import annotations
 
-import contextvars
-from contextlib import contextmanager
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -160,61 +154,15 @@ def inverse_with_tangent(g, dg):
     return G0, -np.einsum("ia,abz,bj->ijz", G0, dg, G0)
 
 
-# dict of (function, metric, x bytes, v bytes) -> result while a memo scope
-# is open in the current context, else None
-_MEMO = contextvars.ContextVar("finsler_connection_memo", default=None)
-
-
-@contextmanager
-def connection_memo():
-    """Scope in which `christoffel` and `christoffel_with_partials` compute
-    each (metric, x, v) once.  Repeats get the stored result, whose arrays
-    are read-only; failures are not stored.  The memo belongs to the
-    current thread and context and is dropped on exit."""
-    token = _MEMO.set({})
-    try:
-        yield
-    finally:
-        _MEMO.reset(token)
-
-
-def _freeze(obj):
-    """Make every array reachable through `obj`'s dataclass fields read-only."""
-    if isinstance(obj, np.ndarray):
-        obj.flags.writeable = False
-    elif is_dataclass(obj):
-        for f in fields(obj):
-            _freeze(getattr(obj, f.name))
-    return obj
-
-
-def _memoized(compute, metric, x, v):
-    memo = _MEMO.get()
-    if memo is None:
-        return compute(metric, x, v)
-    # private copies, so that freezing never touches the caller's arrays
-    x = np.array(x, dtype=float)
-    v = np.array(v, dtype=float)
-    key = (compute, metric, x.tobytes(), v.tobytes())
-    result = memo.get(key)
-    if result is None:
-        result = memo[key] = _freeze(compute(metric, x, v))
-    return result
-
-
 def christoffel(metric, sample):
     """Christoffel symbols, nonlinear connection and lowered symbols at a
     sample, by the explicit formulas (float path)."""
-    return _christoffel_at(metric, sample.x, sample.v)
-
-
-def _christoffel_at(metric, x, v):
-    """`christoffel` at a bare (x, v): a reference value of any shape meets
-    metric_blocks' domain check first."""
-    return _memoized(_christoffel, metric, x, v)
+    return _christoffel(metric, sample.x, sample.v)
 
 
 def _christoffel(metric, x, v):
+    """`christoffel` at a bare (x, v): a reference value of any shape meets
+    metric_blocks' domain check first."""
     blocks = metric_blocks(metric, x, v, order=3)
     check_nondegenerate(blocks.g, f"at x={blocks.x.tolist()}, v={blocks.v.tolist()}")
     ginv = np.linalg.solve(blocks.g, np.eye(metric.dim))
@@ -236,10 +184,6 @@ def christoffel_with_partials(metric, x, v):
     """Gamma together with all its first x- and y-derivatives, from one
     order-4 evaluation of L: the assembly runs once over values carrying
     their derivatives along the 2n (x, y) directions."""
-    return _memoized(_christoffel_with_partials, metric, x, v)
-
-
-def _christoffel_with_partials(metric, x, v):
     blocks = metric_blocks(metric, x, v, order=4)
     n = metric.dim
     check_nondegenerate(blocks.g, f"at x={np.asarray(x).tolist()}, v={np.asarray(v).tolist()}")
@@ -273,7 +217,7 @@ def nabla(metric, V, X, Y, x):
         (nabla^V_X Y)^k = X^i dY^k/dx^i + X^i Y^j Gamma^k_ij(x, V(x))
     """
     x = np.asarray(x, dtype=float)
-    ce = _christoffel_at(metric, x, V.value(x))
+    ce = _christoffel(metric, x, V.value(x))
     return _covariant(ce.Gamma, X.value(x), Y.jacobian(x), Y.value(x))
 
 

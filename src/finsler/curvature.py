@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from .connection import (
-    _christoffel_at,
+    _christoffel,
     _covariant,
     christoffel_core,
     christoffel_with_partials,
@@ -185,17 +185,22 @@ def _b_terms(cp, V_jac, Rc, nc, X, Y, Z, W):
 
 def covariant_acceleration(metric, curve, t):
     """(D^{gammadot}_gamma gammadot)(t), the invariant acceleration."""
-    x = curve.position(t)
     v = curve.velocity(t)
-    ce = _christoffel_at(metric, x, v)
-    return curve.acceleration(t) + np.einsum("kij,i,j->k", ce.Gamma, v, v)
+    ce = _christoffel(metric, curve.position(t), v)
+    return _covariant_acceleration(ce.Gamma, v, curve.acceleration(t))
+
+
+def _covariant_acceleration(Gamma, v, acc):
+    """acc + Gamma(v, v) from held values: the symbols at a curve point with
+    the velocity v as reference, and the coordinate acceleration there."""
+    return acc + np.einsum("kij,i,j->k", Gamma, v, v)
 
 
 def _curve_point(metric, curve, t):
     """(velocity, Christoffel partials, covariant acceleration) at t."""
     v = curve.velocity(t)
     cp = christoffel_with_partials(metric, curve.position(t), v)
-    return v, cp, curve.acceleration(t) + np.einsum("kij,i,j->k", cp.Gamma, v, v)
+    return v, cp, _covariant_acceleration(cp.Gamma, v, curve.acceleration(t))
 
 
 def h_tensor(metric, curve, t, u, w):
@@ -203,16 +208,25 @@ def h_tensor(metric, curve, t, u, w):
     the correction by which the curve-wise operator differs from the
     hh-block, zero on geodesics."""
     _, cp, acc = _curve_point(metric, curve, t)
+    return _h(cp, acc, u, w)
+
+
+def _h(cp, acc, u, w):
+    """H(u, w) from held values: the Christoffel partials at a curve point
+    and the covariant acceleration there."""
     return np.einsum("i,j,p,kijp->k", u, w, acc, cp.dGamma_dy)
 
 
 def r_along_curve(metric, curve, t, u, w):
     """R^gamma(gammadot, u)w via the hh-block plus the H correction."""
+    return _r_along_curve(*_curve_point(metric, curve, t), u, w)
+
+
+def _r_along_curve(v, cp, acc, u, w):
+    """r_along_curve from the held values `_curve_point` returns."""
     u = np.asarray(u, dtype=float)
     w = np.asarray(w, dtype=float)
-    v, cp, acc = _curve_point(metric, curve, t)
-    H = np.einsum("i,j,p,kijp->k", u, w, acc, cp.dGamma_dy)
-    return hh_apply(hh_block(cp), v, u, w) + H
+    return hh_apply(hh_block(cp), v, u, w) + _h(cp, acc, u, w)
 
 
 def r_along_curve_direct(metric, curve, t, u, w, rng=None):
@@ -223,15 +237,19 @@ def r_along_curve_direct(metric, curve, t, u, w, rng=None):
     free jet data (second s-derivative and the W-field's derivatives) gets
     random values, which the commutator provably cancels.  Every quantity is
     a value with its (d/dt, d/ds) derivatives on a trailing axis."""
-    n = metric.dim
     x0 = curve.position(t)
     v0 = curve.velocity(t)
-    acc2 = curve.acceleration(t)
+    Gamma = _christoffel(metric, x0, v0).Gamma
+    return _r_along_curve_direct(metric, Gamma, x0, v0, curve.acceleration(t), u, w, rng)
+
+
+def _r_along_curve_direct(metric, Gamma0, x0, v0, acc2, u, w, rng):
+    """r_along_curve_direct from held values: the symbols Gamma0 at the
+    curve point (x0, v0) and the coordinate acceleration acc2 there."""
+    n = metric.dim
     u = np.asarray(u, dtype=float)
     w = np.asarray(w, dtype=float)
-
-    ce = _christoffel_at(metric, x0, v0)
-    udot = -np.einsum("kij,i,j->k", ce.Gamma, u, v0)
+    udot = -np.einsum("kij,i,j->k", Gamma0, u, v0)
 
     if rng is None:
         lam_ss = np.zeros(n)

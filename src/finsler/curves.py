@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._dop853 import StepSizeError, dop853
-from .connection import _christoffel_at
+from .connection import _christoffel
 from .curvature import covariant_acceleration
 from .errors import DegenerateMetricError, DomainError, IntegrationError
 from .geometry import _gather_blocks, _L_jet
@@ -134,11 +134,14 @@ class FieldAlongCurve:
 def cov_deriv_along(metric, curve, W, X, t):
     """(D^W_gamma X)(t): derivative of X plus the Christoffel correction with
     reference vector W(t)."""
-    ce = _christoffel_at(metric, curve.position(t), W.value(t))
-    vel = curve.velocity(t)
-    return X.derivative(t) + np.einsum(
-        "kij,i,j->k", ce.Gamma, X.value(t), vel
-    )
+    ce = _christoffel(metric, curve.position(t), W.value(t))
+    return _cov_deriv_along(ce.Gamma, X.value(t), X.derivative(t), curve.velocity(t))
+
+
+def _cov_deriv_along(Gamma, X, dX, vel):
+    """D_gamma X = dX + Gamma(X, vel) from held values: the symbols at the
+    curve point, and X, its t-derivative and the velocity there."""
+    return dX + np.einsum("kij,i,j->k", Gamma, X, vel)
 
 
 _SPRAY_BLOCKS = ("dL_dx", "d2L_dydx", "g")
@@ -222,7 +225,7 @@ def parallel_transport(metric, curve, W, x0, t0, t1):
 
     def rhs(t, X):
         try:
-            ce = _christoffel_at(metric, curve.position(t), W.value(t))
+            ce = _christoffel(metric, curve.position(t), W.value(t))
         except DomainError as exc:
             raise IntegrationError(f"reference field left the domain at t={t:g}") from exc
         except DegenerateMetricError as exc:
@@ -274,7 +277,12 @@ def mixed_derivative_commutation(metric, lam, V, t, s):
     Both derivatives equal the mixed partial plus the symmetric Christoffel
     contraction, so the residual is roundoff-level for any smooth map."""
     p = lam.partials(t, s)
-    G = _christoffel_at(metric, p["value"], V(t, s)).Gamma
+    return _commutation(_christoffel(metric, p["value"], V(t, s)).Gamma, p)
+
+
+def _commutation(G, p):
+    """mixed_derivative_commutation from held values: the symbols at the
+    map's point and the map's `partials` there."""
     d_ts = p["d_ts"]
     first = d_ts + np.einsum("kij,i,j->k", G, p["d_s"], p["d_t"])
     second = d_ts + np.einsum("kij,i,j->k", G, p["d_t"], p["d_s"])

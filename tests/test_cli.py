@@ -525,3 +525,19 @@ def test_verify_plan_file_seed_is_respected(tmp_path):
     # explicit flag wins over the file
     assert main(["verify", "--plan", str(path), "--seed", "9", "--out", str(out)]) == 0
     assert json.loads(out.read_text())["seed"] == 9
+
+
+def test_verify_refuses_a_negative_seed_with_one_error_line(tmp_path, capsys):
+    assert main(["verify", "--plan", "default", "--seed", "-3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip().splitlines() == [
+        "error: plan seed must be a non-negative integer, got -3"
+    ]
+    # the flag is checked, not the file it overrides
+    path = tmp_path / "plan.json"
+    plan = {"metrics": ["euclidean"], "samples": 1, "curve_samples": 0, "seed": -1}
+    path.write_text(json.dumps(plan))
+    out = tmp_path / "rep.json"
+    assert main(["verify", "--plan", str(path), "--seed", "4", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["seed"] == 4

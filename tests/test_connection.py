@@ -1,7 +1,5 @@
-"""Christoffel symbols, the covariant derivative of chart fields and the
-per-sweep connection memo."""
+"""Christoffel symbols and the covariant derivative of chart fields."""
 
-import threading
 from dataclasses import fields
 
 import numpy as np
@@ -11,19 +9,12 @@ from finsler.connection import (
     VectorFieldOnChart,
     christoffel,
     christoffel_with_partials,
-    connection_memo,
     nabla,
 )
-from finsler.errors import DomainError, FinslerError
+from finsler.errors import DomainError
 from finsler.geometry import metric_blocks
-from finsler.metrics import MetricField, TangentSample, builtin
-from finsler.verify import (
-    VerificationPlan,
-    extension_field,
-    perturbed_riemannian,
-    random_polynomial_field,
-    run_verification,
-)
+from finsler.metrics import TangentSample, builtin
+from finsler.verify import extension_field, perturbed_riemannian, random_polynomial_field
 
 from oracles import conformal_matrix, levi_civita, perturbation_matrix
 
@@ -217,93 +208,6 @@ def test_vector_field_expression_parsing_and_jacobian():
     np.testing.assert_allclose(F.jacobian(x), [[12.0, 4.0], [1.0, -1.0]])
     val, jac, hess = F.derivatives2(x)
     np.testing.assert_allclose(hess[0], [[6.0, 4.0], [4.0, 0.0]], atol=1e-13)
-
-
-# -- the per-sweep memo -----------------------------------------------------------
-
-
-def _counting_metric():
-    """Euclidean-plus-quartic metric whose func counts its jet evaluations."""
-    calls = []
-
-    def L(x, v):
-        if not isinstance(v[0], float):
-            calls.append(1)
-        return v[0] * v[0] + v[1] * v[1] + 0.1 * x[0] * x[0] * v[0] * v[1]
-
-    return MetricField("counting", 2, L), calls
-
-
-def _evaluate_twice(metric):
-    """christoffel and christoffel_with_partials twice each at one (x, v),
-    passing equal but distinct arrays."""
-    out = []
-    for _ in range(2):
-        x, v = np.array([0.1, -0.2]), np.array([1.0, 0.3])
-        out.append((christoffel(metric, TangentSample(x, v)), christoffel_with_partials(metric, x, v)))
-    return out
-
-
-def test_memo_evaluates_each_sample_once_inside_the_scope():
-    metric, calls = _counting_metric()
-    with connection_memo():
-        (ce1, cp1), (ce2, cp2) = _evaluate_twice(metric)
-        assert len(calls) == 2  # one order-3 and one order-4 jet
-        assert ce2 is ce1 and cp2 is cp1
-        christoffel(metric, TangentSample([0.1, -0.2], [2.0, 0.6]))
-        assert len(calls) == 3
-    (fresh, _), _ = _evaluate_twice(metric)
-    assert len(calls) == 7
-    np.testing.assert_array_equal(fresh.Gamma, ce1.Gamma)
-
-
-def test_memo_results_are_read_only_and_leave_inputs_writable():
-    metric, _ = _counting_metric()
-    x, v = np.array([0.1, -0.2]), np.array([1.0, 0.3])
-    with connection_memo():
-        ce = christoffel(metric, TangentSample(x, v))
-        cp = christoffel_with_partials(metric, x, v)
-    arrays = [ce.Gamma, ce.N, ce.gamma_lc, ce.g, ce.ginv, ce.cartan]
-    arrays += [cp.Gamma, cp.dGamma_dx, cp.dGamma_dy, cp.N, cp.g, cp.blocks.dC_dy, cp.x]
-    for a in arrays:
-        assert not a.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            a[...] = 0.0
-    assert x.flags.writeable and v.flags.writeable
-    assert christoffel_with_partials(metric, x, v).Gamma.flags.writeable
-
-
-def test_memo_is_closed_after_the_scope_and_after_run_verification():
-    metric, calls = _counting_metric()
-
-    def fresh_evaluations():
-        before = len(calls)
-        _evaluate_twice(metric)
-        return len(calls) - before
-
-    with connection_memo():
-        pass
-    assert fresh_evaluations() == 4
-    plan = VerificationPlan(metrics=[builtin("euclidean", dim=2)], samples=1, curve_samples=0)
-    run_verification(plan)
-    assert fresh_evaluations() == 4
-    empty = MetricField("empty", 2, metric.func, predicate=lambda x, v: False)
-    with pytest.raises(FinslerError, match="could not draw"):
-        run_verification(VerificationPlan(metrics=[empty]))
-    assert fresh_evaluations() == 4
-
-
-def test_memo_is_not_shared_with_other_threads():
-    metric, calls = _counting_metric()
-    seen = []
-    with connection_memo():
-        _evaluate_twice(metric)
-        assert len(calls) == 2
-        worker = threading.Thread(target=lambda: seen.append(len(_evaluate_twice(metric))))
-        worker.start()
-        worker.join(timeout=30)
-    assert not worker.is_alive() and seen == [2]
-    assert len(calls) == 6
 
 
 def test_constant_field_has_zero_jacobian_and_hessian():

@@ -1,5 +1,5 @@
-"""Every name a package module imports is used in that module, and every
-module-level private name is used somewhere in the package.
+"""Every name a package or test module imports is used in that module, and
+every module-level private name is used somewhere in the package.
 
 `__init__.py` re-exports by design and is skipped by the import check, as is
 any import statement carrying a `# noqa` comment.
@@ -10,8 +10,11 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "finsler"
-MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "finsler"
+# package modules by file name, test modules as tests/<file name>
+MODULES = {p.name: p for p in SRC.glob("*.py") if p.name != "__init__.py"}
+MODULES.update({f"tests/{p.name}": p for p in TESTS.glob("*.py")})
 
 
 def unused_imports(source):
@@ -32,9 +35,9 @@ def unused_imports(source):
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
-@pytest.mark.parametrize("module", MODULES)
+@pytest.mark.parametrize("module", sorted(MODULES))
 def test_module_uses_every_import(module):
-    assert unused_imports((SRC / module).read_text(encoding="utf-8")) == []
+    assert unused_imports(MODULES[module].read_text(encoding="utf-8")) == []
 
 
 def test_unused_import_is_reported():

@@ -1,13 +1,13 @@
 """Verification harness: determinism, report structure, failure reporting."""
 
-import contextlib
+import collections
 import copy
 import json
 
 import numpy as np
 import pytest
 
-from finsler import jets, verify
+from finsler import connection, jets, verify
 from finsler.connection import VectorFieldOnChart
 from finsler.curves import FieldAlongCurve
 from finsler.errors import FinslerError
@@ -147,6 +147,10 @@ def test_plan_above_dimension_eight_is_refused_before_any_jet_table():
         ("tolerances", {"koszul": "1e-9"}, "'koszul' must be a finite positive"),
         ("tolerances", [1e-9], "tolerances must be a mapping"),
         ("degree", 1000, "degree must be at most 6, got 1000"),
+        ("seed", -1, "plan seed must be a non-negative integer, got -1"),
+        ("seed", True, "plan seed must be a non-negative integer, got True"),
+        ("seed", 2.0, "plan seed must be a non-negative integer, got 2.0"),
+        ("seed", "7", "plan seed must be a non-negative integer, got '7'"),
     ],
 )
 def test_bad_plans_are_refused_before_sampling(name, value, message):
@@ -159,17 +163,35 @@ def test_bad_plans_are_refused_before_sampling(name, value, message):
         run_verification(plan)
 
 
-@pytest.mark.parametrize("dim", [2, 3])
-def test_connection_memo_leaves_reports_byte_identical(dim, monkeypatch):
-    def plan():
-        p = default_plan(samples=3, seed=11, dim=dim)
-        p.curve_samples = 2
-        p.heavy_samples = 1
-        return p
+def test_numpy_integer_seed_is_reported_as_a_plain_int():
+    plan = _small_plan()
+    plan.metrics = plan.metrics[:1]
+    plan.seed = np.int64(7)
+    report = run_verification(plan)
+    assert type(report.seed) is int
+    assert json.loads(report.to_json())["seed"] == 7
 
-    memoized = run_verification(plan()).to_json()
-    monkeypatch.setattr(verify, "connection_memo", contextlib.nullcontext)
-    assert run_verification(plan()).to_json() == memoized
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_each_christoffel_record_is_evaluated_once_per_sweep(dim, monkeypatch):
+    # the sweeps hand the records they hold to the held-value bodies, so no
+    # (metric, x, v, order) reaches metric_blocks twice through the
+    # Christoffel entry points
+    seen = collections.Counter()
+    real = connection.metric_blocks
+
+    def counting(metric, x, v, order):
+        x, v = np.asarray(x, dtype=float), np.asarray(v, dtype=float)
+        seen[metric.name, x.tobytes(), v.tobytes(), order] += 1
+        return real(metric, x, v, order=order)
+
+    monkeypatch.setattr(connection, "metric_blocks", counting)
+    plan = default_plan(samples=3, seed=11, dim=dim, curve_samples=2, heavy_samples=1)
+    report = run_verification(plan)
+    kinds = {r.worst["kind"] for r in report.results}
+    assert kinds == {"point", "curve", "geodesic", "flag"}
+    assert report.passed and {key[3] for key in seen} == {3, 4}
+    assert [key for key, count in seen.items() if count > 1] == []
 
 
 def test_sweep_takes_order_three_blocks_from_the_christoffel_records(monkeypatch):
