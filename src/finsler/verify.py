@@ -44,17 +44,13 @@ from .curves import (
 from .errors import FinslerError
 from .geometry import metric_blocks
 from .metrics import TangentSample, builtin, check_homogeneity
-from .metrics import perturbed_riemannian  # noqa: F401  (importable from here too)
 
 DEFAULT_TOLERANCES = {
     "homogeneity": 1e-10,
     "euler_gvv": 1e-10,
     "g_zero_homogeneity": 1e-10,
     "cartan_flagpole": 1e-10,
-    "cartan_symmetry": 1e-12,
     "cartan_neg_homogeneity": 1e-10,
-    "dg_dy_cartan": 1e-10,
-    "christoffel_symmetry": 1e-12,
     "gamma_vv": 1e-10,
     "nonlinear_connection": 1e-10,
     "christoffel_homogeneity": 1e-10,
@@ -335,30 +331,25 @@ def _point_identities(metric, sample, rng, plan, index):
     yield "homogeneity", check_homogeneity(metric, sample, (0.5, 2.0, 7.0)).max_residual
     yield "euler_gvv", _rel(v @ g @ v - L, L)
 
-    # scale by |v| |C| (the size of a generic slot insertion): for nearly
+    # a contraction with v is scaled by max|v| times the largest entry of the
+    # contracted tensor (the size of a generic slot insertion): for nearly
     # axis-aligned v the individual products are themselves near zero and
     # would turn roundoff into a spurious ratio
-    contraction = np.einsum("i,ijk->jk", v, C)
-    yield "cartan_flagpole", _rel(contraction, np.abs(v).max() * np.abs(C).max())
+    v_max = np.abs(v).max()
+    yield "cartan_flagpole", _rel(np.einsum("i,ijk->jk", v, C), v_max * np.abs(C).max())
 
-    worst = max(
-        np.abs(C - C.transpose(p)).max()
-        for p in ((0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
-    )
-    yield "cartan_symmetry", _rel(worst, C, 1.0)
+    # Euler's theorem on the held order-4 record: C is homogeneous of degree
+    # -1 and Gamma of degree 0 in v, so dC/dy . v = -C and dGamma/dy . v = 0
+    dC_dy, dG_dy = cp.blocks.dC_dy, cp.dGamma_dy
+    euler_C = np.einsum("ijkp,p->ijk", dC_dy, v) + C
+    yield "cartan_neg_homogeneity", _rel(euler_C, C, v_max * np.abs(dC_dy).max())
+    euler_G = np.einsum("kijp,p->kij", dG_dy, v)
+    yield "christoffel_homogeneity", _rel(euler_G, G, v_max * np.abs(dG_dy).max(), 1e-2)
 
-    # one record per scale lam v; the lam = 2 record also gives C at 2v
-    scaled = {
-        lam: christoffel(metric, TangentSample(sample.x, lam * v)) for lam in (0.1, 2.0, 10.0)
-    }
-    yield "cartan_neg_homogeneity", _rel(scaled[2.0].cartan - 0.5 * C, C)
-    for lam in (0.5, 3.0):
-        g_lam = metric_blocks(metric, sample.x, lam * v, order=2).g
-        yield "g_zero_homogeneity", _rel(g_lam - g, g)
-
-    dg_dy = cp.blocks.dg_dy
-    yield "dg_dy_cartan", _rel(dg_dy - 2.0 * np.einsum("kij->ijk", C), dg_dy, C)
-    yield "christoffel_symmetry", _rel(G - G.transpose(0, 2, 1), G, 1.0)
+    # one finite scaling end to end, by a factor that is not a power of 2
+    scaled = christoffel(metric, TangentSample(sample.x, 1.7 * v))
+    yield "g_zero_homogeneity", _rel(scaled.g - g, g)
+    yield "christoffel_homogeneity", _rel(scaled.Gamma - G, G, 1e-2)
 
     gamma_up = np.linalg.solve(g, cp.gamma_lc.reshape(n, -1)).reshape(n, n, n)
     lhs = np.einsum("kij,i,j->k", G, v, v)
@@ -368,9 +359,6 @@ def _point_identities(metric, sample, rng, plan, index):
 
     Gv = np.einsum("sji,i->sj", G, v)
     yield "nonlinear_connection", _rel(Gv - N, N, Gv)
-
-    for ce_lam in scaled.values():
-        yield "christoffel_homogeneity", _rel(ce_lam.Gamma - G, G, 1e-2)
 
     yield from _field_identities(metric, sample, cp, rng, plan, heavy=index < plan.heavy_samples)
 
@@ -560,18 +548,20 @@ def _curve_identities(metric, sample, rng, plan, index):
     non-geodesic polynomial curve through the sample.
 
     Every candidate curve passes through (x0, v0) at t = 0, so each record
-    is evaluated once: the symbols at (x0, v0), their partials there and the
+    is evaluated once: the symbols with their partials at (x0, v0) and the
     symbols at (x0, w0) for the reference field along the curve."""
     n = metric.dim
     x0, v0 = sample.x, sample.v
-    G = christoffel(metric, sample).Gamma
+    cp = christoffel_with_partials(metric, x0, v0)
+    G = cp.Gamma
 
     curve = random_curve(rng, sample)
     for _ in range(10):  # keep the curve genuinely non-geodesic
         if np.abs(_covariant_acceleration(G, v0, curve.acceleration(0.0))).max() >= 0.05:
             break
         curve = random_curve(rng, sample)
-    vel0, cp, acc = _curve_point(metric, curve, 0.0)
+    acc2 = curve.acceleration(0.0)
+    acc = _covariant_acceleration(G, v0, acc2)
 
     # reference field along the curve, admissible at t=0
     w0 = _admissible_vector(metric, rng, x0)
@@ -582,14 +572,14 @@ def _curve_identities(metric, sample, rng, plan, index):
     blocks_w = ce_w.blocks
 
     def D(F):
-        return _cov_deriv_along(ce_w.Gamma, F.value(0.0), F.derivative(0.0), vel0)
+        return _cov_deriv_along(ce_w.Gamma, F.value(0.0), F.derivative(0.0), v0)
 
     Xv, Yv = Xc.value(0.0), Yc.value(0.0)
     dX, dY, dW = Xc.derivative(0.0), Yc.derivative(0.0), Wc.derivative(0.0)
     DX, DY, DW = D(Xc), D(Yc), D(Wc)
     gw = blocks_w.g
     lhs = (
-        float(Xv @ (np.einsum("ijl,l->ij", blocks_w.dg_dx, vel0)) @ Yv)
+        float(Xv @ (np.einsum("ijl,l->ij", blocks_w.dg_dx, v0)) @ Yv)
         + 2.0 * float(np.einsum("qij,q,i,j->", blocks_w.C, dW, Xv, Yv))
         + float(dX @ gw @ Yv)
         + float(Xv @ gw @ dY)
@@ -625,7 +615,7 @@ def _curve_identities(metric, sample, rng, plan, index):
     rng.uniform(-1.0, 1.0, (n, n))
     Xf = random_polynomial_field(rng, n, plan.degree, center=x0)
     lhs_vec = D(_compose_field(Xf, curve))
-    rhs_vec = _covariant(ce_w.Gamma, vel0, Xf.jacobian(x0), Xf.value(x0))
+    rhs_vec = _covariant(ce_w.Gamma, v0, Xf.jacobian(x0), Xf.value(x0))
     yield "curve_chart_restriction", _rel(lhs_vec - rhs_vec, lhs_vec, rhs_vec)
 
     # two-parameter map commutation
@@ -651,14 +641,13 @@ def _curve_identities(metric, sample, rng, plan, index):
     # curve-wise curvature: direct commutator vs hh + H (non-geodesic)
     u = _nonsingular_pair(rng, v0, n)
     w = rng.uniform(-1.0, 1.0, n)
-    hh_path = _r_along_curve(vel0, cp, acc, u, w)
-    acc2 = curve.acceleration(0.0)
-    direct1 = _r_along_curve_direct(metric, G, x0, vel0, acc2, u, w, rng)
+    hh_path = _r_along_curve(v0, cp, acc, u, w)
+    direct1 = _r_along_curve_direct(metric, G, x0, v0, acc2, u, w, rng)
     yield "curve_decomposition", _rel(hh_path - direct1, hh_path, direct1)
 
     # extension independence: a second jet realization and a chart-field
     # extension sharing the variational first-order data
-    direct2 = _r_along_curve_direct(metric, G, x0, vel0, acc2, u, w, rng)
+    direct2 = _r_along_curve_direct(metric, G, x0, v0, acc2, u, w, rng)
     udot = -np.einsum("kij,i,j->k", G, u, v0)
     J = _extension_jacobian(rng, v0, u, acc2, udot, n)
     Vext = extension_field(x0, v0, J, quad=rng.uniform(-1.0, 1.0, (n, n, n)))

@@ -13,12 +13,11 @@ from finsler.connection import christoffel
 from finsler.curvature import curvature_field, flag_curvature, r_along_curve, r_along_curve_direct
 from finsler.curves import geodesic_shoot
 from finsler.jets import Jet, seed
-from finsler.metrics import builtin
+from finsler.metrics import builtin, perturbed_riemannian
 from finsler.verify import (
     _extension_jacobian,
     default_plan,
     extension_field,
-    perturbed_riemannian,
     random_curve,
     run_verification,
     sample_tangent,

@@ -13,8 +13,8 @@ from finsler.connection import (
 )
 from finsler.errors import DomainError
 from finsler.geometry import metric_blocks
-from finsler.metrics import TangentSample, builtin
-from finsler.verify import extension_field, perturbed_riemannian, random_polynomial_field
+from finsler.metrics import TangentSample, builtin, perturbed_riemannian
+from finsler.verify import extension_field, random_polynomial_field
 
 from oracles import conformal_matrix, levi_civita, perturbation_matrix
 

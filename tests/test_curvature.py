@@ -33,12 +33,11 @@ from finsler.curves import (
     mixed_derivative_commutation,
 )
 from finsler.errors import DomainError
-from finsler.metrics import TangentSample, builtin
+from finsler.metrics import TangentSample, builtin, perturbed_riemannian
 from finsler.verify import (
     _admissible_vector,
     default_metrics,
     extension_field,
-    perturbed_riemannian,
     random_curve,
     random_curve_field,
     random_polynomial_field,

@@ -20,8 +20,8 @@ from finsler.curves import (
 )
 from finsler.errors import DegenerateMetricError, DomainError, IntegrationError
 from finsler.geometry import metric_blocks
-from finsler.metrics import MetricField, TangentSample, builtin, parse_metric
-from finsler.verify import perturbed_riemannian, random_curve
+from finsler.metrics import MetricField, TangentSample, builtin, parse_metric, perturbed_riemannian
+from finsler.verify import random_curve
 
 
 def test_curve_velocity_and_acceleration_from_jets():

@@ -12,8 +12,7 @@ from finsler.geometry import (
     tensor_partials,
 )
 from finsler.jets import Jet, jet_space, seed
-from finsler.metrics import TangentSample, builtin
-from finsler.verify import perturbed_riemannian
+from finsler.metrics import TangentSample, builtin, perturbed_riemannian
 
 from oracles import perturbation_matrix
 
@@ -121,12 +120,19 @@ def test_cartan_flagpole_contraction_vanishes():
 
 
 def test_cartan_is_homogeneous_of_degree_minus_one():
+    # off the diagonal v1 = v2, where the quartic norm's C vanishes by symmetry
     m = builtin("minkowski_quartic", dim=2)
     x = np.array([0.0, 0.0])
-    v = np.array([1.0, 1.0])
+    v = np.array([1.0, 0.5])
     C1 = cartan_tensor(m, TangentSample(x, v))
-    C2 = cartan_tensor(m, TangentSample(x, 2.0 * v))
-    np.testing.assert_allclose(C2, 0.5 * C1, rtol=1e-12)
+    scale = np.abs(C1).max()
+    assert scale > 0.1
+    for lam in (2.0, 1.7):
+        C_lam = cartan_tensor(m, TangentSample(x, lam * v))
+        np.testing.assert_allclose(C_lam, C1 / lam, rtol=0, atol=1e-12 * scale)
+    # Euler's theorem on the order-4 coefficients: dC/dy . v = -C
+    dC_dy = metric_blocks(m, x, v, order=4).dC_dy
+    np.testing.assert_allclose(np.einsum("ijkp,p->ijk", dC_dy, v), -C1, rtol=0, atol=1e-12 * scale)
 
 
 def test_cartan_full_symmetry():

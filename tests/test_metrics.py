@@ -16,8 +16,8 @@ from finsler.metrics import (
     check_homogeneity,
     load_metric,
     parse_metric,
+    perturbed_riemannian,
 )
-from finsler.verify import perturbed_riemannian
 
 
 def test_euclidean_value():

@@ -37,7 +37,7 @@ def test_small_default_plan_passes():
     for required in (
         "homogeneity",
         "cartan_flagpole",
-        "dg_dy_cartan",
+        "cartan_neg_homogeneity",
         "torsion_free",
         "almost_g_field",
         "almost_g_curve",
@@ -175,14 +175,14 @@ def test_numpy_integer_seed_is_reported_as_a_plain_int():
 @pytest.mark.parametrize("dim", [2, 3, 4])
 def test_each_christoffel_record_is_evaluated_once_per_sweep(dim, monkeypatch):
     # the sweeps hand the records they hold to the held-value bodies, so no
-    # (metric, x, v, order) reaches metric_blocks twice through the
+    # (metric, x, v) reaches metric_blocks twice, at any order, through the
     # Christoffel entry points
-    seen = collections.Counter()
+    calls = []
     real = connection.metric_blocks
 
     def counting(metric, x, v, order):
         x, v = np.asarray(x, dtype=float), np.asarray(v, dtype=float)
-        seen[metric.name, x.tobytes(), v.tobytes(), order] += 1
+        calls.append((metric.name, x.tobytes(), v.tobytes(), order))
         return real(metric, x, v, order=order)
 
     monkeypatch.setattr(connection, "metric_blocks", counting)
@@ -190,8 +190,41 @@ def test_each_christoffel_record_is_evaluated_once_per_sweep(dim, monkeypatch):
     report = run_verification(plan)
     kinds = {r.worst["kind"] for r in report.results}
     assert kinds == {"point", "curve", "geodesic", "flag"}
-    assert report.passed and {key[3] for key in seen} == {3, 4}
+    assert report.passed and {key[3] for key in calls} == {3, 4}
+    seen = collections.Counter(key[:3] for key in calls)
     assert [key for key, count in seen.items() if count > 1] == []
+
+    # a light point sample: its order-4 record at (x, v), and one order-3
+    # record at (x, 1.7 v) for the finite homogeneity check
+    calls.clear()
+    metric = builtin("funk", dim=dim)
+    rng = np.random.default_rng(3)
+    sample = sample_tangent(metric, rng, plan.box)
+    list(verify._point_identities(metric, sample, rng, plan, plan.heavy_samples))
+    x, v = sample.x.tobytes(), sample.v.tobytes()
+    assert calls == [("funk", x, v, 4), ("funk", x, (1.7 * sample.v).tobytes(), 3)]
+
+
+def test_homogeneity_rows_fail_on_a_non_homogeneous_metric():
+    # a Riemannian quadratic plus a cubic in v: no homogeneity holds
+    def L(x, v):
+        return (1.0 + x[0] * x[0]) * (v[0] * v[0] + v[1] * v[1]) + 0.05 * v[0] * v[0] * v[0]
+
+    plan = VerificationPlan(
+        metrics=[MetricField("cubic_perturbed", 2, L)],
+        samples=5,
+        curve_samples=0,
+        heavy_samples=0,
+        seed=7,
+    )
+    rows = {r.name: r for r in run_verification(plan).results}
+    for name in (
+        "homogeneity",
+        "g_zero_homogeneity",
+        "cartan_neg_homogeneity",
+        "christoffel_homogeneity",
+    ):
+        assert not rows[name].passed, (name, rows[name].max_residual)
 
 
 def test_sweep_takes_order_three_blocks_from_the_christoffel_records(monkeypatch):
@@ -233,15 +266,12 @@ _SWEEP_ROWS = {
     "point": {
         "homogeneity": 1,
         "euler_gvv": 1,
-        "g_zero_homogeneity": 2,
+        "g_zero_homogeneity": 1,
         "cartan_flagpole": 1,
-        "cartan_symmetry": 1,
         "cartan_neg_homogeneity": 1,
-        "dg_dy_cartan": 1,
-        "christoffel_symmetry": 1,
         "gamma_vv": 1,
         "nonlinear_connection": 1,
-        "christoffel_homogeneity": 3,
+        "christoffel_homogeneity": 2,
         "torsion_free": 1,
         "almost_g_field": 1,
         "koszul": 1,
