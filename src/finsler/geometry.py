@@ -17,13 +17,14 @@ All blocks at a sample (x, v) come from a single jet evaluation of L with all
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import DegenerateMetricError
-from .jets import Jet, jet_space, seed
+from .jets import Jet, jet_space, record, seed
 
 COND_LIMIT = 1e10
 
@@ -101,13 +102,37 @@ class SampleBlocks:
     dC_dy: np.ndarray = None
 
 
+# metric.func -> {jet space: the Program that replays func there, or None
+# where func is evaluated eagerly}; an entry goes with its function.
+_PROGRAMS = weakref.WeakKeyDictionary()
+
+
 def _L_jet(metric, x, v, order):
     """The domain check, then L as a jet of `order` with all 2n directions
-    seeded (x in slots 0..n-1, v in n..2n-1) from one coefficient array."""
+    seeded (x in slots 0..n-1, v in n..2n-1) from one coefficient array.
+
+    The first call for a function and space records L while evaluating it
+    (see `jets.record`); later calls replay the recording, or evaluate
+    eagerly where the function does not replay."""
     metric.check_sample(x, v)
     n = metric.dim
-    seeds = seed(np.concatenate([x, v]), order)
-    return _as_jet(metric.func(seeds[:n], seeds[n:]), seeds[0].space)
+    space = jet_space(2 * n, order)
+    rows = space.seed_units.copy()
+    rows[:n, 0] = x
+    rows[n:, 0] = v
+    try:
+        programs = _PROGRAMS.setdefault(metric.func, {})
+    except TypeError:  # a callable that takes no weak reference stays eager
+        programs = {space: None}
+    program = programs.get(space)
+    if program is not None:
+        return program.run(rows)
+    if space in programs:
+        seeds = seed(rows[:, 0], order)
+        out = metric.func(seeds[:n], seeds[n:])
+    else:
+        out, programs[space] = record(lambda seeds: metric.func(seeds[:n], seeds[n:]), space, rows)
+    return _as_jet(out, space)
 
 
 def metric_blocks(metric, x, v, order):

@@ -18,12 +18,22 @@ the same order, so it adds the same nonzero terms in the same order and
 skips only exact zeros.  Horner's rule in the analytic functions drops, at
 each step, the output degrees that the multiplications still to come would
 carry past the order.
+
+Every operation is an array kernel (an ``operator`` function or one of the
+``_k_*`` functions) applied to its operands' coefficients and to static
+arguments: scalars, product tables and series functions.  A Jet method settles the result's degree and the tables,
+then hands the kernel to ``Jet._emit``.  :func:`record` evaluates a function
+on recording seeds, whose ``_emit`` also appends each step to a
+:class:`Program`; replaying the program on other seed rows runs the same
+kernels in the same order, so it gives the same bits as an eager evaluation
+there and raises the same exceptions.  Whatever depends on values (series
+coefficients, domain checks) happens inside the kernels.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
+import operator
 from functools import cached_property, lru_cache
 from numbers import Real
 
@@ -53,6 +63,33 @@ def _monomials(nvars, order):
     return tuple(out)
 
 
+def _product_rows(expo, order):
+    """The multiplication table of the monomials whose exponents are the rows
+    of `expo`, in graded-lex order, as arrays (i, j, k): every pair of slots
+    i, j whose monomials multiply to the monomial in slot k, sorted by k and
+    then by the exponents of i.  Pairs are enumerated by degree block, and k
+    is found by exponent code: exponents are below the radix order + 1, so a
+    code is linear in the exponents and orders them lexicographically, which
+    within a degree block is slot order."""
+    nvars = expo.shape[1]
+    if (order + 1) ** nvars > np.iinfo(np.int64).max:
+        raise ValueError(f"a jet space of {nvars} variables at order {order} is too large")
+    code = expo @ (order + 1) ** np.arange(nvars - 1, -1, -1)
+    starts = np.searchsorted(expo.sum(1), np.arange(order + 2))
+    blocks = [np.arange(starts[d], starts[d + 1]) for d in range(order + 1)]
+    i, j, k = [], [], []
+    for da in range(order + 1):
+        for db in range(order + 1 - da):
+            a, b = (g.ravel() for g in np.meshgrid(blocks[da], blocks[db], indexing="ij"))
+            out = blocks[da + db]
+            i.append(a)
+            j.append(b)
+            k.append(out[np.searchsorted(code[out], code[a] + code[b])])
+    i, j, k = (np.concatenate(rows) for rows in (i, j, k))
+    rows = np.lexsort((code[i], k))
+    return i[rows], j[rows], k[rows]
+
+
 class JetSpace:
     """Shared monomial and multiplication tables for one (nvars, order) pair.
 
@@ -69,30 +106,41 @@ class JetSpace:
         self.monomials = _monomials(nvars, order)
         self.size = len(self.monomials)
         self.index = {m: i for i, m in enumerate(self.monomials)}
-        self.factorials = np.array(
-            [math.prod(math.factorial(d) for d in m) for m in self.monomials],
-            dtype=float,
-        )
-        rows_i, rows_j, rows_k = [], [], []
-        for k_pos, gamma in enumerate(self.monomials):
-            for alpha in itertools.product(*(range(d + 1) for d in gamma)):
-                beta = tuple(g - a for g, a in zip(gamma, alpha))
-                rows_i.append(self.index[alpha])
-                rows_j.append(self.index[beta])
-                rows_k.append(k_pos)
-        self._mul_i = np.array(rows_i)
-        self._mul_j = np.array(rows_j)
-        self._mul_k = np.array(rows_k)
+        expo = np.array(self.monomials)
+        # products of factorials up to 4! are exact in floating point
+        self.factorials = np.array([math.factorial(d) for d in range(order + 1)], dtype=float)[expo].prod(1)
+        self.degrees = expo.sum(1)
+        self._mul_i, self._mul_j, self._mul_k = _product_rows(expo, order)
         self._tables = {}
+        self._horners = {}
 
     def _product_table(self, da, db, cap):
         """The rows (i, j, k) of the multiplication table whose factor slots
         have degree <= da and <= db and whose output slot has degree <= cap,
-        in the full table's order; kept in `_tables` under (da, db, cap)."""
-        deg = np.array([sum(m) for m in self.monomials])
+        in the full table's order, with the space size: the static arguments
+        of `_k_product`, kept in `_tables` under (da, db, cap)."""
+        deg = self.degrees
         keep = (deg[self._mul_i] <= da) & (deg[self._mul_j] <= db) & (deg[self._mul_k] <= cap)
-        table = self._tables[da, db, cap] = (self._mul_i[keep], self._mul_j[keep], self._mul_k[keep])
+        rows = (self._mul_i, self._mul_j, self._mul_k)
+        if not keep.all():
+            rows = tuple(a[keep] for a in rows)
+        table = self._tables[da, db, cap] = (*rows, self.size)
         return table
+
+    def _horner(self, degree):
+        """(tables, result degree) of the Horner composition of a jet of
+        `degree` (see `_k_compose`): the product table of each step with
+        r multiplications still to come keeps degrees <= order - r."""
+        got = self._horners.get(degree)
+        if got is None:
+            tables = []
+            d = min(degree, 1)
+            for cap in range(2, self.order + 1):
+                key = (d, degree, min(d + degree, cap))
+                tables.append(self._tables.get(key) or self._product_table(*key))
+                d = key[2]
+            got = self._horners[degree] = (tuple(tables), d)
+        return got
 
     @cached_property
     def seed_units(self):
@@ -127,6 +175,123 @@ def jet_space(nvars, order):
     return JetSpace(nvars, order)
 
 
+# -- array kernels -----------------------------------------------------------
+# Each takes its operands' coefficient arrays, then the static arguments, and
+# returns a new array; none writes to its inputs.  Sums and differences of
+# jets, negation and products and quotients by a scalar are the `operator`
+# functions on the arrays.
+
+
+def _k_add_scalar(a, s):
+    c = a.copy()
+    c[0] += s
+    return c
+
+
+def _k_sub_scalar(a, s):
+    c = a.copy()
+    c[0] -= s
+    return c
+
+
+def _k_product(a, b, i, j, k, size):
+    return np.bincount(k, weights=a[i] * b[j], minlength=size)
+
+
+def _k_constant(size, value):
+    c = np.zeros(size)
+    c[0] = value
+    return c
+
+
+def _k_compose(a, series, arg, tables, top):
+    """sum_k s[k] w^k by Horner for w = a - a0 and the order + 1 terms
+    s = series(a0, arg, order); None from `series` (a zero-base integer
+    power above MAX_ORDER) means the zero jet.  w has no constant term, so a slot of degree d feeds only
+    degrees > d of the next product: `tables` holds one product table per
+    step after the first.  The first step, s[-1] w + s[-2], is a scalar
+    product kept to the `top` slots of degree <= 1; adding 0.0 turns -0.0
+    into 0.0, as the table product's bincount does."""
+    u0 = float(a[0])
+    s = series(u0, arg, len(tables) + 1)
+    if s is None:
+        return np.zeros(a.size)
+    w = a.copy()
+    w[0] -= u0
+    r = np.zeros(a.size)
+    r[:top] = w[:top] * s[-1] + 0.0
+    r[0] += s[-2]
+    for (i, j, k, size), c in zip(tables, reversed(s[:-2])):
+        r = np.bincount(k, weights=r[i] * w[j], minlength=size)
+        r[0] += c
+    return r
+
+
+# Series about u0 of the analytic functions, order + 1 terms each: the
+# value-dependent half of `_k_compose`, with its domain checks.
+
+
+def _binomial(u0, p, c0, order):
+    """u^p about u0, from c0 = u0^p: the series C(p, k) u0^(p-k)."""
+    series = []
+    c = c0
+    for k in range(order + 1):
+        series.append(c)
+        c *= (p - k) / ((k + 1) * u0)
+    if not all(map(math.isfinite, series)):
+        raise OverflowError(f"jet power {p:g} of {u0:g} overflows")
+    return series
+
+
+def _power_series(u0, p, order):
+    if p.is_integer():
+        # one binomial series instead of |p| - 1 products; at u0 = 0 every
+        # term of w^p lies past the order
+        if u0 == 0.0:
+            if p < 0:
+                raise ZeroDivisionError("jet division needs a nonzero constant term")
+            return None
+    elif u0 <= 0.0:
+        raise ValueError(f"non-integer power needs a positive constant term, got {u0:g}")
+    return _binomial(u0, p, u0**p, order)
+
+
+def _reciprocal_series(u0, _, order):
+    if u0 == 0.0:
+        raise ZeroDivisionError("jet division needs a nonzero constant term")
+    return [(-1.0) ** k / u0 ** (k + 1) for k in range(order + 1)]
+
+
+def _sqrt_series(u0, _, order):
+    if u0 <= 0.0:
+        raise ValueError(f"jet sqrt needs a positive constant term, got {u0:g}")
+    return _binomial(u0, 0.5, math.sqrt(u0), order)
+
+
+def _exp_series(u0, _, order):
+    e0 = math.exp(u0)
+    return [e0 / math.factorial(k) for k in range(order + 1)]
+
+
+def _log_series(u0, _, order):
+    if u0 <= 0.0:
+        raise ValueError(f"jet log needs a positive constant term, got {u0:g}")
+    series = [math.log(u0)]
+    for k in range(1, order + 1):
+        series.append((-1.0) ** (k + 1) / (k * u0**k))
+    return series
+
+
+def _sin_series(u0, _, order):
+    cycle = [math.sin(u0), math.cos(u0), -math.sin(u0), -math.cos(u0)]
+    return [cycle[k % 4] / math.factorial(k) for k in range(order + 1)]
+
+
+def _cos_series(u0, _, order):
+    cycle = [math.cos(u0), -math.sin(u0), -math.cos(u0), math.sin(u0)]
+    return [cycle[k % 4] / math.factorial(k) for k in range(order + 1)]
+
+
 class Jet:
     """Immutable truncated Taylor expansion of a scalar.
 
@@ -153,9 +318,7 @@ class Jet:
 
     @classmethod
     def constant(cls, space, value):
-        c = np.zeros(space.size)
-        c[0] = value
-        return _jet(space, c, 0)
+        return _jet(space, _k_constant(space.size, value), 0)
 
     @classmethod
     def variable(cls, space, value, slot):
@@ -195,6 +358,12 @@ class Jet:
 
     # -- ring arithmetic ----------------------------------------------------
 
+    def _emit(self, kernel, operands, static, degree):
+        """The jet of `degree` whose coefficients `kernel` computes from the
+        operands' coefficients and the static arguments: the one place every
+        operation's result is made."""
+        return _jet(self.space, kernel(*[o.coeffs for o in operands], *static), degree)
+
     def _check(self, other):
         if other.space is not self.space:
             raise ValueError("cannot mix jets from different spaces")
@@ -202,26 +371,22 @@ class Jet:
     def __add__(self, other):
         if isinstance(other, Jet):
             self._check(other)
-            return _jet(self.space, self.coeffs + other.coeffs, max(self.degree, other.degree))
+            return self._emit(operator.add, (self, other), (), max(self.degree, other.degree))
         if isinstance(other, _SCALAR_TYPES):
-            c = self.coeffs.copy()
-            c[0] += other
-            return _jet(self.space, c, self.degree)
+            return self._emit(_k_add_scalar, (self,), (other,), self.degree)
         return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _jet(self.space, -self.coeffs, self.degree)
+        return self._emit(operator.neg, (self,), (), self.degree)
 
     def __sub__(self, other):
         if isinstance(other, Jet):
             self._check(other)
-            return _jet(self.space, self.coeffs - other.coeffs, max(self.degree, other.degree))
+            return self._emit(operator.sub, (self, other), (), max(self.degree, other.degree))
         if isinstance(other, _SCALAR_TYPES):
-            c = self.coeffs.copy()
-            c[0] -= other
-            return _jet(self.space, c, self.degree)
+            return self._emit(_k_sub_scalar, (self,), (other,), self.degree)
         return NotImplemented
 
     def __rsub__(self, other):
@@ -229,15 +394,10 @@ class Jet:
 
     def __mul__(self, other):
         if isinstance(other, Jet):
-            sp = self.space
-            if other.space is not sp:
-                raise ValueError("cannot mix jets from different spaces")
-            if self.degree == other.degree == sp.order:
-                prod = self.coeffs[sp._mul_i] * other.coeffs[sp._mul_j]
-                return _jet(sp, np.bincount(sp._mul_k, weights=prod, minlength=sp.size), sp.order)
-            return self._times(other, sp.order)
+            self._check(other)
+            return self._times(other, self.space.order)
         if isinstance(other, _SCALAR_TYPES):
-            return _jet(self.space, self.coeffs * float(other), self.degree)
+            return self._emit(operator.mul, (self,), (float(other),), self.degree)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -248,16 +408,14 @@ class Jet:
         sp = self.space
         degree = min(self.degree + other.degree, cap)
         key = (self.degree, other.degree, degree)
-        i, j, k = sp._tables.get(key) or sp._product_table(*key)
-        prod = self.coeffs[i] * other.coeffs[j]
-        return _jet(sp, np.bincount(k, weights=prod, minlength=sp.size), degree)
+        return self._emit(_k_product, (self, other), sp._tables.get(key) or sp._product_table(*key), degree)
 
     def __truediv__(self, other):
         if isinstance(other, Jet):
             self._check(other)
             return self * other._reciprocal()
         if isinstance(other, _SCALAR_TYPES):
-            return _jet(self.space, self.coeffs / float(other), self.degree)
+            return self._emit(operator.truediv, (self,), (float(other),), self.degree)
         return NotImplemented
 
     def __rtruediv__(self, other):
@@ -274,96 +432,44 @@ class Jet:
         if p.is_integer() and abs(p) <= MAX_ORDER:
             p = int(p)
             if p == 0:
-                return Jet.constant(self.space, 1.0)
+                return self._emit(_k_constant, (), (self.space.size, 1.0), 0)
             if p < 0:
                 return (self.__pow__(-p))._reciprocal()
             result = self
             for _ in range(p - 1):
                 result = result * self
             return result
-        u0 = self.value
-        if p.is_integer():
-            # one binomial series instead of |p| - 1 products; at u0 = 0
-            # every term of w^p lies past the order
-            if u0 == 0.0:
-                if p < 0:
-                    raise ZeroDivisionError("jet division needs a nonzero constant term")
-                return Jet.constant(self.space, 0.0)
-        elif u0 <= 0.0:
-            raise ValueError(f"non-integer power needs a positive constant term, got {u0:g}")
-        return self._binomial(p, u0**p)
+        if p > 0 and p.is_integer() and self.coeffs[0] == 0.0:
+            # the one degree that depends on a value: every term of w^p lies
+            # past the order, and a constant is not a step of any program
+            return Jet.constant(self.space, 0.0)
+        return self._compose(_power_series, p)
 
     # -- analytic primitives -------------------------------------------------
 
-    def _compose(self, series):
-        """Evaluate sum_k series[k] * (self - value)^k by Horner, for a series
-        of order + 1 terms.  w = self - value has no constant term, so a slot
-        of degree d feeds only degrees > d of the next product: the step
-        with r multiplications still to come keeps degrees <= order - r.
-        The first step, series[-1] * w + series[-2], is a scalar product
-        kept to degree 1; adding 0.0 turns -0.0 into 0.0, as the table
-        product's bincount does."""
-        sp = self.space
-        w = self - self.value
-        top = sp.nvars + 1
-        head = np.zeros(sp.size)
-        head[:top] = w.coeffs[:top] * series[-1] + 0.0
-        head[0] += series[-2]
-        result = _jet(sp, head, min(w.degree, 1))
-        for cap, c in enumerate(reversed(series[:-2]), start=2):
-            result = result._times(w, cap) + c
-        return result
-
-    def _binomial(self, p, c0):
-        """u^p about u0 = value, from c0 = u0^p: the series C(p, k) u0^(p-k)."""
-        u0 = self.value
-        series = []
-        c = c0
-        for k in range(self.space.order + 1):
-            series.append(c)
-            c *= (p - k) / ((k + 1) * u0)
-        if not all(map(math.isfinite, series)):
-            raise OverflowError(f"jet power {p:g} of {u0:g} overflows")
-        return self._compose(series)
+    def _compose(self, series, arg=None):
+        """The Horner composition `_k_compose` of the series that
+        `series(u0, arg, order)` gives about this jet's constant term u0."""
+        tables, degree = self.space._horner(self.degree)
+        return self._emit(_k_compose, (self,), (series, arg, tables, self.space.nvars + 1), degree)
 
     def _reciprocal(self):
-        u0 = self.value
-        if u0 == 0.0:
-            raise ZeroDivisionError("jet division needs a nonzero constant term")
-        series = [(-1.0) ** k / u0 ** (k + 1) for k in range(self.space.order + 1)]
-        return self._compose(series)
+        return self._compose(_reciprocal_series)
 
     def sqrt(self):
-        u0 = self.value
-        if u0 <= 0.0:
-            raise ValueError(f"jet sqrt needs a positive constant term, got {u0:g}")
-        return self._binomial(0.5, math.sqrt(u0))
+        return self._compose(_sqrt_series)
 
     def exp(self):
-        e0 = math.exp(self.value)
-        series = [e0 / math.factorial(k) for k in range(self.space.order + 1)]
-        return self._compose(series)
+        return self._compose(_exp_series)
 
     def log(self):
-        u0 = self.value
-        if u0 <= 0.0:
-            raise ValueError(f"jet log needs a positive constant term, got {u0:g}")
-        series = [math.log(u0)]
-        for k in range(1, self.space.order + 1):
-            series.append((-1.0) ** (k + 1) / (k * u0**k))
-        return self._compose(series)
+        return self._compose(_log_series)
 
     def sin(self):
-        u0 = self.value
-        cycle = [math.sin(u0), math.cos(u0), -math.sin(u0), -math.cos(u0)]
-        series = [cycle[k % 4] / math.factorial(k) for k in range(self.space.order + 1)]
-        return self._compose(series)
+        return self._compose(_sin_series)
 
     def cos(self):
-        u0 = self.value
-        cycle = [math.cos(u0), -math.sin(u0), -math.cos(u0), math.sin(u0)]
-        series = [cycle[k % 4] / math.factorial(k) for k in range(self.space.order + 1)]
-        return self._compose(series)
+        return self._compose(_cos_series)
 
 
 def _jet(space, coeffs, degree):
@@ -387,6 +493,146 @@ def seed(values, order):
     coeffs = space.seed_units.copy()
     coeffs[:, 0] = values
     return [_jet(space, row, 1) for row in coeffs]
+
+
+# -- recording and replay -------------------------------------------------------
+
+
+class Program:
+    """The kernel steps one function took on seed jets, replayable on other
+    seed rows of the same space.
+
+    While recording, a step is (kernel, input registers, static arguments):
+    registers are the seed rows, then the result of each step in turn.
+    `replayable` turns False when the function does something a replay
+    cannot repeat.  `_finish` then turns each step into (kernel, input
+    slots, static arguments, output slot) over a register file that holds
+    only the values still to be read, as an eager evaluation does.
+    """
+
+    def __init__(self, space):
+        self.space = space
+        self.steps = []
+        self.registers = 0
+        self.replayable = True
+        self.output = self.degree = self.spare = None
+
+    def _register(self, jet):
+        rec = object.__new__(_RecordingJet)
+        rec.space, rec.coeffs, rec.degree = jet.space, jet.coeffs, jet.degree
+        rec.program = self
+        rec.register = self.registers
+        self.registers += 1
+        return rec
+
+    def _step(self, out, kernel, operands, static):
+        """Append a step whose result is the jet `out`; a step that takes a
+        jet made outside this program cannot be replayed."""
+        ins = []
+        for o in operands:
+            if getattr(o, "program", None) is not self:
+                self.replayable = False
+                return out
+            ins.append(o.register)
+        self.steps.append((kernel, tuple(ins), static))
+        return self._register(out)
+
+    def _finish(self, out):
+        """Make the recording end in the jet `out`, and give each result the
+        slot of a value whose last read has passed."""
+        seeds = self.registers - len(self.steps)
+        last = {}
+        for t, (_, ins, _) in enumerate(self.steps):
+            last.update(dict.fromkeys(ins, t))
+        last[out.register] = len(self.steps)
+        slot = list(range(seeds))
+        free, size, steps = [], seeds, []
+        for t, (kernel, ins, static) in enumerate(self.steps):
+            free += [slot[r] for r in set(ins) if last[r] == t]
+            if not free:
+                free.append(size)
+                size += 1
+            slot.append(free.pop())
+            steps.append((kernel, tuple(slot[r] for r in ins), static, slot[-1]))
+            if seeds + t not in last:
+                free.append(slot[-1])
+        self.steps, self.spare = steps, [None] * (size - seeds)
+        self.output, self.degree = slot[out.register], out.degree
+
+    def run(self, rows):
+        """The function's jet at the seeds whose coefficients are `rows`."""
+        regs = [*rows, *self.spare]
+        # spelled out by arity: no per-step list of operands
+        for kernel, ins, static, out in self.steps:
+            if len(ins) == 2:
+                regs[out] = kernel(regs[ins[0]], regs[ins[1]], *static)
+            elif ins:
+                regs[out] = kernel(regs[ins[0]], *static)
+            else:
+                regs[out] = kernel(*static)
+        return _jet(self.space, regs[self.output], self.degree)
+
+
+class _RecordingJet(Jet):
+    """A jet of a recording: every operation it starts also becomes a step
+    of its program.  Reading a value out of it keeps the program from being
+    replayed, since the function may branch on what it reads.
+
+    Python tries a subclass's reflected operator first, so a plain jet on
+    the left of a recording jet also reaches the recording: it keeps the
+    program from being replayed and lets the plain jet's own method run,
+    whose result, and any value read from it, the program never sees."""
+
+    __slots__ = ("program", "register")
+
+    def _emit(self, kernel, operands, static, degree):
+        return self.program._step(Jet._emit(self, kernel, operands, static, degree), kernel, operands, static)
+
+    @property
+    def value(self):
+        self.program.replayable = False
+        return float(self.coeffs[0])
+
+    def extract(self, multi_index):
+        self.program.replayable = False
+        return Jet.extract(self, multi_index)
+
+    def _reflected(self, name, other):
+        if isinstance(other, Jet):
+            self.program.replayable = False
+            return NotImplemented
+        return getattr(Jet, name)(self, other)
+
+    def __radd__(self, other):
+        return self._reflected("__radd__", other)
+
+    def __rsub__(self, other):
+        return self._reflected("__rsub__", other)
+
+    def __rmul__(self, other):
+        return self._reflected("__rmul__", other)
+
+    def __rtruediv__(self, other):
+        return self._reflected("__rtruediv__", other)
+
+
+def record(func, space, rows):
+    """func(seeds) for seed jets over the rows of the (nvars, size) array
+    `rows`, evaluated eagerly, and the Program that replays it, or None.
+
+    There is no program if func reads `value` or `extract` from a jet, mixes
+    in a jet made outside the recording (a constant of a zero-base integer
+    power above MAX_ORDER is one), or returns anything but a jet of the
+    recording.  A recording jet does not leave: the result is a plain Jet."""
+    program = Program(space)
+    out = func([program._register(_jet(space, row, 1)) for row in rows])
+    if not isinstance(out, Jet):
+        return out, None
+    if getattr(out, "program", None) is not program or not program.replayable:
+        program = None
+    else:
+        program._finish(out)
+    return _jet(out.space, out.coeffs, out.degree), program
 
 
 def partials(space, components):
@@ -426,4 +672,3 @@ def sin(x):
 
 def cos(x):
     return x.cos() if isinstance(x, Jet) else math.cos(x)
-

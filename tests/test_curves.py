@@ -20,6 +20,7 @@ from finsler.curves import (
 )
 from finsler.errors import DegenerateMetricError, DomainError, IntegrationError
 from finsler.geometry import metric_blocks
+from finsler.jets import Program
 from finsler.metrics import MetricField, TangentSample, builtin, parse_metric, perturbed_riemannian
 from finsler.verify import random_curve
 
@@ -372,8 +373,8 @@ def test_function_and_sweep_curve_array_reads_equal_scalar_reads():
         assert curve.position(ts[:0]).shape == (len(curve.position(0.0)), 0)
 
 
-def test_each_geodesic_rhs_evaluates_L_once_and_checks_its_sample_once(monkeypatch):
-    counts = {"rhs": 0, "L": 0, "check_sample": 0}
+def test_each_geodesic_rhs_replays_L_once_and_checks_its_sample_once(monkeypatch):
+    counts = {"rhs": 0, "L": 0, "replay": 0, "check_sample": 0}
     base = builtin("funk", dim=2)
 
     def L(x, v):
@@ -393,13 +394,22 @@ def test_each_geodesic_rhs_evaluates_L_once_and_checks_its_sample_once(monkeypat
         counts["check_sample"] += 1
         return check_sample(self, x, v)
 
+    replay = Program.run
+
+    def counted_replay(self, rows):
+        counts["replay"] += 1
+        return replay(self, rows)
+
     monkeypatch.setattr(curves, "dop853", counted_dop853)
+    monkeypatch.setattr(Program, "run", counted_replay)
     monkeypatch.setattr(MetricField, "check_sample", counted_check_sample)
     m = MetricField("funk", 2, L, base.predicate)
     geodesic_shoot(m, [0.1, -0.2], [0.3, 0.5], 1.5)
     assert counts["rhs"] > 50
-    # the shot's start is checked once before the integration
-    assert counts == {"rhs": counts["rhs"], "L": counts["rhs"], "check_sample": counts["rhs"] + 1}
+    # L is recorded on the first right-hand side and replayed once on each
+    # later one; the shot's start is checked once before the integration
+    rhs = counts["rhs"]
+    assert counts == {"rhs": rhs, "L": 1, "replay": rhs - 1, "check_sample": rhs + 1}
 
 
 def test_curve_admissibility_grid_check():

@@ -1,5 +1,6 @@
 """Jet arithmetic against symbolic and closed-form oracles."""
 
+import itertools
 import math
 from pathlib import Path
 
@@ -9,11 +10,11 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finsler import geometry, jets
+from finsler import jets
 from finsler.curvature import r_along_curve_direct
 from finsler.geometry import metric_blocks
 from finsler.jets import Jet, jet_space, partials, seed
-from finsler.metrics import builtin, load_metric, parse_metric
+from finsler.metrics import MetricField, builtin, load_metric, parse_metric
 from finsler.verify import random_curve, sample_tangent
 
 
@@ -238,6 +239,29 @@ def test_jet_refuses_coefficients_of_the_wrong_shape():
     assert Jet(space, np.arange(6)).degree == 2
 
 
+def _loop_product_rows(space):
+    """The multiplication table by a loop over the output monomials and, for
+    each, its first factors in itertools.product order: the oracle of the
+    array build in JetSpace."""
+    rows_i, rows_j, rows_k = [], [], []
+    for k_pos, gamma in enumerate(space.monomials):
+        for alpha in itertools.product(*(range(d + 1) for d in gamma)):
+            beta = tuple(g - a for g, a in zip(gamma, alpha))
+            rows_i.append(space.index[alpha])
+            rows_j.append(space.index[beta])
+            rows_k.append(k_pos)
+    return np.array(rows_i), np.array(rows_j), np.array(rows_k)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+@pytest.mark.parametrize("nvars", range(1, 11))
+def test_product_table_equals_the_loop_over_output_monomials(nvars, order):
+    space = jet_space(nvars, order)
+    for got, want in zip((space._mul_i, space._mul_j, space._mul_k), _loop_product_rows(space)):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
+
 # -- integer powers past MAX_ORDER ------------------------------------------------
 
 
@@ -331,9 +355,11 @@ def test_restricted_products_and_compose_equal_the_full_table(nvars, order, monk
             np.testing.assert_array_equal(g, w, err_msg=name)
 
 
-def _constant_start_compose(self, series):
+def _constant_start_compose(self, series, arg=None):
     """Horner from a constant jet with every product over the full table:
-    the reference for the scalar first step of `Jet._compose`."""
+    the reference for the scalar first step of `jets._k_compose`, over the
+    series that `series` gives about the constant term."""
+    series = series(self.value, arg, self.space.order)
     w = self - self.value
     result = Jet.constant(self.space, series[-1])
     for c in reversed(series[:-1]):
@@ -421,31 +447,30 @@ def test_every_jet_is_zero_above_its_degree(monkeypatch):
     assert set(seen) == {0, 1, 2, 3, 4}
 
 
-def test_metric_blocks_equal_a_run_from_full_degree_seeds(monkeypatch):
+def _at_full_degree(func):
+    """func, after raising every seed jet's degree bound to the order."""
+
+    def L(x, v):
+        for jet in list(x) + list(v):
+            jet.degree = jet.space.order
+        return func(x, v)
+
+    return L
+
+
+def test_metric_blocks_equal_a_run_from_full_degree_seeds():
+    """Blocks of the recording and of a replay equal those of a fresh metric
+    whose recording starts from full-degree seeds, so that every product of
+    its program runs over the full table."""
     rng = np.random.default_rng(8)
-    runs = [(m, _sample(m, rng)) for m in _metrics_under_test()]
-    got = [[vars(metric_blocks(m, s.x, s.v, order)) for order in (2, 3, 4)] for m, s in runs]
-    constant = Jet.constant.__func__
-
-    def full(make):
-        def seed_at_full_degree(cls, space, *args):
-            jet = make(cls, space, *args)
-            jet.degree = space.order
-            return jet
-
-        return classmethod(seed_at_full_degree)
-
-    def seeds_at_full_degree(values, order):
-        out = seed(values, order)
-        for jet in out:
-            jet.degree = order
-        return out
-
-    monkeypatch.setattr(Jet, "constant", full(constant))
-    monkeypatch.setattr(geometry, "seed", seeds_at_full_degree)
-    for (m, s), blocks in zip(runs, got):
-        for order, have in zip((2, 3, 4), blocks):
-            want = vars(metric_blocks(m, s.x, s.v, order))
-            assert have.keys() == want.keys()
-            for key, value in want.items():
-                np.testing.assert_array_equal(have[key], value, err_msg=f"{m.name} order {order} {key}")
+    for m in _metrics_under_test():
+        s = _sample(m, rng)
+        full = MetricField(m.name, m.dim, _at_full_degree(m.func), m.predicate)
+        for order in (2, 3, 4):
+            # the first call records, the second replays
+            have = [vars(metric_blocks(m, s.x, s.v, order)) for _ in range(2)]
+            want = [vars(metric_blocks(full, s.x, s.v, order)) for _ in range(2)]
+            for h, w in zip(have, want):
+                assert h.keys() == w.keys()
+                for key, value in w.items():
+                    np.testing.assert_array_equal(h[key], value, err_msg=f"{m.name} order {order} {key}")
