@@ -12,15 +12,13 @@ DOP853, which the package does not import).
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 from ._dop853 import StepSizeError, dop853
 from .connection import _christoffel
 from .curvature import covariant_acceleration
 from .errors import DegenerateMetricError, DomainError, IntegrationError
-from .geometry import _block_gather, _L_jet
+from .geometry import _gather_blocks, _L_jet
 from .jets import partials, seed
 
 
@@ -146,14 +144,7 @@ def _cov_deriv_along(Gamma, X, dX, vel):
     return dX + np.einsum("kij,i,j->k", Gamma, X, vel)
 
 
-@lru_cache(maxsize=None)
-def _spray_gather(n):
-    """(positions, scales) that read dL_dx, d2L_dydx and g, flattened in that
-    order, out of an order-2 L jet over 2n variables."""
-    table = _block_gather(n, 2, names=("dL_dx", "d2L_dydx", "g"))
-    positions = np.concatenate([pos.ravel() for _, pos, _ in table])
-    scales = np.concatenate([scale.ravel() for _, _, scale in table])
-    return positions, scales
+_SPRAY_BLOCKS = ("dL_dx", "d2L_dydx", "g")
 
 
 def _spray(metric, x, v):
@@ -164,12 +155,10 @@ def _spray(metric, x, v):
     g_ij v^i v^j = L turn the contracted dg/dx into first x-derivatives of
     L and L_y, so an order-2 jet of L suffices.
     """
-    n = metric.dim
-    positions, scales = _spray_gather(n)
-    flat = _L_jet(metric, x, v, 2).coeffs[positions] * scales
-    dL_dx, d2L_dydx, g = flat[:n], flat[n : n + n * n].reshape(n, n), flat[n + n * n :].reshape(n, n)
+    blocks = _gather_blocks(_L_jet(metric, x, v, 2), metric.dim, names=_SPRAY_BLOCKS)
+    b = blocks["d2L_dydx"] @ v - blocks["dL_dx"]
     try:
-        return -0.5 * np.linalg.solve(g, d2L_dydx @ v - dL_dx)
+        return -0.5 * np.linalg.solve(blocks["g"], b)
     except np.linalg.LinAlgError as exc:
         raise IntegrationError(f"degenerate fundamental tensor at x={x.tolist()}") from exc
 

@@ -68,13 +68,16 @@ def _product_rows(expo, order):
     of `expo`, in graded-lex order, as arrays (i, j, k): every pair of slots
     i, j whose monomials multiply to the monomial in slot k, sorted by k and
     then by the exponents of i.  Pairs are enumerated by degree block, and k
-    is found by exponent code: exponents are below the radix order + 1, so a
-    code is linear in the exponents and orders them lexicographically, which
-    within a degree block is slot order."""
+    is found by exponent key: a row of byte exponents viewed as one opaque
+    value, which compares bytewise, so keys order monomials lexicographically,
+    which within a degree block is slot order."""
+    expo = expo.astype(np.uint8)
     nvars = expo.shape[1]
-    if (order + 1) ** nvars > np.iinfo(np.int64).max:
-        raise ValueError(f"a jet space of {nvars} variables at order {order} is too large")
-    code = expo @ (order + 1) ** np.arange(nvars - 1, -1, -1)
+
+    def keys(e):
+        return np.ascontiguousarray(e).view(np.dtype((np.void, nvars))).ravel()
+
+    key = keys(expo)
     starts = np.searchsorted(expo.sum(1), np.arange(order + 2))
     blocks = [np.arange(starts[d], starts[d + 1]) for d in range(order + 1)]
     i, j, k = [], [], []
@@ -84,9 +87,9 @@ def _product_rows(expo, order):
             out = blocks[da + db]
             i.append(a)
             j.append(b)
-            k.append(out[np.searchsorted(code[out], code[a] + code[b])])
+            k.append(out[np.searchsorted(key[out], keys(expo[a] + expo[b]))])
     i, j, k = (np.concatenate(rows) for rows in (i, j, k))
-    rows = np.lexsort((code[i], k))
+    rows = np.lexsort((key[i], k))
     return i[rows], j[rows], k[rows]
 
 
@@ -441,7 +444,10 @@ class Jet:
             return result
         if p > 0 and p.is_integer() and self.coeffs[0] == 0.0:
             # the one degree that depends on a value: every term of w^p lies
-            # past the order, and a constant is not a step of any program
+            # past the order.  A recording that takes this branch cannot be
+            # replayed, as if the function had read the value itself.
+            if isinstance(self, _RecordingJet):
+                self.program.replayable = False
             return Jet.constant(self.space, 0.0)
         return self._compose(_power_series, p)
 
@@ -502,12 +508,10 @@ class Program:
     """The kernel steps one function took on seed jets, replayable on other
     seed rows of the same space.
 
-    While recording, a step is (kernel, input registers, static arguments):
-    registers are the seed rows, then the result of each step in turn.
-    `replayable` turns False when the function does something a replay
-    cannot repeat.  `_finish` then turns each step into (kernel, input
-    slots, static arguments, output slot) over a register file that holds
-    only the values still to be read, as an eager evaluation does.
+    A step is (kernel, input registers, static arguments): registers are
+    the seed rows, then the result of each step in turn, and `output` is
+    the register of the function's result.  `replayable` turns False when
+    the function does something a replay cannot repeat.
     """
 
     def __init__(self, space):
@@ -515,7 +519,7 @@ class Program:
         self.steps = []
         self.registers = 0
         self.replayable = True
-        self.output = self.degree = self.spare = None
+        self.output = self.degree = None
 
     def _register(self, jet):
         rec = object.__new__(_RecordingJet)
@@ -537,39 +541,18 @@ class Program:
         self.steps.append((kernel, tuple(ins), static))
         return self._register(out)
 
-    def _finish(self, out):
-        """Make the recording end in the jet `out`, and give each result the
-        slot of a value whose last read has passed."""
-        seeds = self.registers - len(self.steps)
-        last = {}
-        for t, (_, ins, _) in enumerate(self.steps):
-            last.update(dict.fromkeys(ins, t))
-        last[out.register] = len(self.steps)
-        slot = list(range(seeds))
-        free, size, steps = [], seeds, []
-        for t, (kernel, ins, static) in enumerate(self.steps):
-            free += [slot[r] for r in set(ins) if last[r] == t]
-            if not free:
-                free.append(size)
-                size += 1
-            slot.append(free.pop())
-            steps.append((kernel, tuple(slot[r] for r in ins), static, slot[-1]))
-            if seeds + t not in last:
-                free.append(slot[-1])
-        self.steps, self.spare = steps, [None] * (size - seeds)
-        self.output, self.degree = slot[out.register], out.degree
-
     def run(self, rows):
         """The function's jet at the seeds whose coefficients are `rows`."""
-        regs = [*rows, *self.spare]
+        regs = list(rows)
+        push = regs.append
         # spelled out by arity: no per-step list of operands
-        for kernel, ins, static, out in self.steps:
+        for kernel, ins, static in self.steps:
             if len(ins) == 2:
-                regs[out] = kernel(regs[ins[0]], regs[ins[1]], *static)
+                push(kernel(regs[ins[0]], regs[ins[1]], *static))
             elif ins:
-                regs[out] = kernel(regs[ins[0]], *static)
+                push(kernel(regs[ins[0]], *static))
             else:
-                regs[out] = kernel(*static)
+                push(kernel(*static))
         return _jet(self.space, regs[self.output], self.degree)
 
 
@@ -620,9 +603,9 @@ def record(func, space, rows):
     """func(seeds) for seed jets over the rows of the (nvars, size) array
     `rows`, evaluated eagerly, and the Program that replays it, or None.
 
-    There is no program if func reads `value` or `extract` from a jet, mixes
-    in a jet made outside the recording (a constant of a zero-base integer
-    power above MAX_ORDER is one), or returns anything but a jet of the
+    There is no program if func reads `value` or `extract` from a jet, takes
+    the zero-base branch of an integer power above MAX_ORDER, mixes in a jet
+    made outside the recording, or returns anything but a jet of the
     recording.  A recording jet does not leave: the result is a plain Jet."""
     program = Program(space)
     out = func([program._register(_jet(space, row, 1)) for row in rows])
@@ -631,7 +614,7 @@ def record(func, space, rows):
     if getattr(out, "program", None) is not program or not program.replayable:
         program = None
     else:
-        program._finish(out)
+        program.output, program.degree = out.register, out.degree
     return _jet(out.space, out.coeffs, out.degree), program
 
 

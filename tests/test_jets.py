@@ -253,8 +253,12 @@ def _loop_product_rows(space):
     return np.array(rows_i), np.array(rows_j), np.array(rows_k)
 
 
-@pytest.mark.parametrize("order", [1, 2, 3, 4])
-@pytest.mark.parametrize("nvars", range(1, 11))
+# Every space of 1-10 variables, then two where an integer key over the
+# exponents in radix order + 1 would overflow int64: an order-2 L jet at dim
+# 20 and an order-4 one at dim 14.
+@pytest.mark.parametrize(
+    "nvars, order", [(n, o) for n in range(1, 11) for o in range(1, 5)] + [(40, 2), (28, 4)]
+)
 def test_product_table_equals_the_loop_over_output_monomials(nvars, order):
     space = jet_space(nvars, order)
     for got, want in zip((space._mul_i, space._mul_j, space._mul_k), _loop_product_rows(space)):
