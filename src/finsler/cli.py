@@ -106,7 +106,7 @@ def _cmd_curvature(args):
         record["flag_curvature_predecessor"] = flag_curvature_predecessor(
             metric, sample, args.u, args.w
         )
-    _write_text(args.out, json.dumps(record, indent=2, sort_keys=True))
+    _write_text(args.out, json.dumps(record, indent=2, sort_keys=True, allow_nan=False))
     return 0
 
 

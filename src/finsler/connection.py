@@ -166,18 +166,7 @@ def _christoffel(metric, x, v):
     blocks = metric_blocks(metric, x, v, order=3)
     check_nondegenerate(blocks.g, f"at x={blocks.x.tolist()}, v={blocks.v.tolist()}")
     ginv = np.linalg.solve(blocks.g, np.eye(metric.dim))
-    (gamma_low, _, N, Gamma), _ = christoffel_core(blocks.dg_dx, blocks.C, blocks.v, ginv)
-    return ChristoffelEval(
-        x=blocks.x,
-        v=blocks.v,
-        gamma_lc=gamma_low,
-        Gamma=Gamma,
-        N=N,
-        g=blocks.g,
-        ginv=ginv,
-        cartan=blocks.C,
-        blocks=blocks,
-    )
+    return _record(blocks, ginv)
 
 
 def christoffel_with_partials(metric, x, v):
@@ -193,9 +182,16 @@ def christoffel_with_partials(metric, x, v):
     C_t = np.concatenate([blocks.dC_dx, blocks.dC_dy], axis=-1)
     v_t = np.hstack([np.zeros((n, n)), np.eye(n)])
     ginv, ginv_t = inverse_with_tangent(blocks.g, g_t)
-    (gamma_low, _, N, Gamma), (_, _, _, Gamma_t) = christoffel_core(
-        blocks.dg_dx, blocks.C, blocks.v, ginv, tangents=(dg_t, C_t, v_t, ginv_t)
-    )
+    return _record(blocks, ginv, tangents=(dg_t, C_t, v_t, ginv_t))
+
+
+def _record(blocks, ginv, tangents=None):
+    """The ChristoffelEval assembled from `blocks` and g^-1; with the
+    (x, y)-derivatives of christoffel_core's inputs as `tangents` it also
+    holds Gamma's partials."""
+    n = len(blocks.v)
+    (gamma_low, _, N, Gamma), derivs = christoffel_core(blocks.dg_dx, blocks.C, blocks.v, ginv, tangents)
+    dGamma = {} if derivs is None else {"dGamma_dx": derivs[3][..., :n], "dGamma_dy": derivs[3][..., n:]}
     return ChristoffelEval(
         x=blocks.x,
         v=blocks.v,
@@ -206,8 +202,7 @@ def christoffel_with_partials(metric, x, v):
         ginv=ginv,
         cartan=blocks.C,
         blocks=blocks,
-        dGamma_dx=Gamma_t[..., :n],
-        dGamma_dy=Gamma_t[..., n:],
+        **dGamma,
     )
 
 
@@ -218,10 +213,13 @@ def nabla(metric, V, X, Y, x):
     """
     x = np.asarray(x, dtype=float)
     ce = _christoffel(metric, x, V.value(x))
-    return _covariant(ce.Gamma, X.value(x), Y.jacobian(x), Y.value(x))
+    A = X.value(x)
+    return _covariant(ce.Gamma, Y.jacobian(x) @ A, A, Y.value(x))
 
 
-def _covariant(Gamma, A, JB, B):
-    """nabla_A B from held values: the direction A, and B's Jacobian and
-    value at the point, with the symbols Gamma there."""
-    return JB @ A + np.einsum("kij,i,j->k", Gamma, A, B)
+def _covariant(Gamma, d, a, b):
+    """nabla_a b = d + Gamma(a, b), the one body of the covariant
+    derivative: `d` is the plain derivative of b along a (JB @ a for a
+    chart field, dX/dt along a curve, the coordinate acceleration for
+    nabla_gammadot gammadot) and Gamma the symbols at the point."""
+    return d + np.einsum("kij,i,j->k", Gamma, a, b)

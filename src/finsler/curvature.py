@@ -105,7 +105,7 @@ def curvature_field_nested(metric, V, X, Y, Z, x):
 
     def nabla_with_jacobian(Av, JA, Bv, JB, HB):
         """(nabla_A B) and its x-derivative at the point."""
-        W = JB @ Av + np.einsum("kij,i,j->k", G, Av, Bv)
+        W = _covariant(G, JB @ Av, Av, Bv)
         dW = (
             np.einsum("kil,i->kl", HB, Av)
             + JB @ JA
@@ -117,14 +117,10 @@ def curvature_field_nested(metric, V, X, Y, Z, x):
 
     W_YZ, dW_YZ = nabla_with_jacobian(Yv, JY, Zv, JZ, HZ)
     W_XZ, dW_XZ = nabla_with_jacobian(Xv, JX, Zv, JZ, HZ)
-
-    def outer(Av, Wv, dW):
-        return dW @ Av + np.einsum("kij,i,j->k", G, Av, Wv)
-
-    first = outer(Xv, W_YZ, dW_YZ)
-    second = outer(Yv, W_XZ, dW_XZ)
+    first = _covariant(G, dW_YZ @ Xv, Xv, W_YZ)
+    second = _covariant(G, dW_XZ @ Yv, Yv, W_XZ)
     bracket = JY @ Xv - JX @ Yv
-    third = JZ @ bracket + np.einsum("kij,i,j->k", G, bracket, Zv)
+    third = _covariant(G, JZ @ bracket, bracket, Zv)
     return first - second - third
 
 
@@ -171,8 +167,8 @@ def _b_terms(cp, V_jac, Rc, nc, X, Y, Z, W):
     """The three terms (t1, t2, t3) of B^V(X, Y, Z, W) = t1 - t2 + t3 from
     held values: the reference field's Jacobian, its curvature block Rc and
     Cartan derivative block nc at the sample of cp, and X, Y, Z, W there."""
-    nxV = _covariant(cp.Gamma, X, V_jac, cp.v)
-    nyV = _covariant(cp.Gamma, Y, V_jac, cp.v)
+    nxV = _covariant(cp.Gamma, V_jac @ X, X, cp.v)
+    nyV = _covariant(cp.Gamma, V_jac @ Y, Y, cp.v)
     Rv = np.einsum("kabc,a,b,c->k", Rc, Y, X, cp.v)
     t1 = float(np.einsum("lijk,l,i,j,k->", nc, Y, nxV, Z, W))
     t2 = float(np.einsum("lijk,l,i,j,k->", nc, X, nyV, Z, W))
@@ -187,20 +183,14 @@ def covariant_acceleration(metric, curve, t):
     """(D^{gammadot}_gamma gammadot)(t), the invariant acceleration."""
     v = curve.velocity(t)
     ce = _christoffel(metric, curve.position(t), v)
-    return _covariant_acceleration(ce.Gamma, v, curve.acceleration(t))
-
-
-def _covariant_acceleration(Gamma, v, acc):
-    """acc + Gamma(v, v) from held values: the symbols at a curve point with
-    the velocity v as reference, and the coordinate acceleration there."""
-    return acc + np.einsum("kij,i,j->k", Gamma, v, v)
+    return _covariant(ce.Gamma, curve.acceleration(t), v, v)
 
 
 def _curve_point(metric, curve, t):
     """(velocity, Christoffel partials, covariant acceleration) at t."""
     v = curve.velocity(t)
     cp = christoffel_with_partials(metric, curve.position(t), v)
-    return v, cp, _covariant_acceleration(cp.Gamma, v, curve.acceleration(t))
+    return v, cp, _covariant(cp.Gamma, curve.acceleration(t), v, v)
 
 
 def h_tensor(metric, curve, t, u, w):

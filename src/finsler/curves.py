@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._dop853 import StepSizeError, dop853
-from .connection import _christoffel
+from .connection import _christoffel, _covariant
 from .curvature import covariant_acceleration
 from .errors import DegenerateMetricError, DomainError, IntegrationError
 from .geometry import _gather_blocks, _L_jet
@@ -135,13 +135,7 @@ def cov_deriv_along(metric, curve, W, X, t):
     """(D^W_gamma X)(t): derivative of X plus the Christoffel correction with
     reference vector W(t)."""
     ce = _christoffel(metric, curve.position(t), W.value(t))
-    return _cov_deriv_along(ce.Gamma, X.value(t), X.derivative(t), curve.velocity(t))
-
-
-def _cov_deriv_along(Gamma, X, dX, vel):
-    """D_gamma X = dX + Gamma(X, vel) from held values: the symbols at the
-    curve point, and X, its t-derivative and the velocity there."""
-    return dX + np.einsum("kij,i,j->k", Gamma, X, vel)
+    return _covariant(ce.Gamma, X.derivative(t), X.value(t), curve.velocity(t))
 
 
 _SPRAY_BLOCKS = ("dL_dx", "d2L_dydx", "g")
@@ -284,6 +278,6 @@ def _commutation(G, p):
     """mixed_derivative_commutation from held values: the symbols at the
     map's point and the map's `partials` there."""
     d_ts = p["d_ts"]
-    first = d_ts + np.einsum("kij,i,j->k", G, p["d_s"], p["d_t"])
-    second = d_ts + np.einsum("kij,i,j->k", G, p["d_t"], p["d_s"])
+    first = _covariant(G, d_ts, p["d_s"], p["d_t"])
+    second = _covariant(G, d_ts, p["d_t"], p["d_s"])
     return float(np.abs(first - second).max())

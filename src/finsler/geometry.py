@@ -145,11 +145,13 @@ def metric_blocks(metric, x, v, order):
 
 
 def check_nondegenerate(g, context=""):
+    context = " " + context if context else ""
+    if not np.all(np.isfinite(g)):
+        raise DegenerateMetricError(f"fundamental tensor is not finite{context}")
     cond = np.linalg.cond(g)
     if not np.isfinite(cond) or cond > COND_LIMIT:
         raise DegenerateMetricError(
-            f"fundamental tensor is numerically degenerate"
-            f"{' ' + context if context else ''}"
+            f"fundamental tensor is numerically degenerate{context}"
             f" (condition number {cond:.3g}, det {np.linalg.det(g):.3g})"
         )
 
@@ -179,7 +181,7 @@ def composed_blocks(metric, x_jets, v_jets, n_outer):
 
     `x_jets`/`v_jets` must live in jet_space(n_outer + 2n, 4) and carry the
     metric's own seed directions in the trailing 2n slots (the caller adds
-    Jet.variable offsets there).  Used to differentiate the connection
+    `seed` offsets there).  Used to differentiate the connection
     through a curve or a two-parameter map by composition.
     """
     n = metric.dim

@@ -72,9 +72,15 @@ class MetricField:
             )
 
     def value(self, x, v) -> float:
-        """L(x, v) over plain floats, with a domain check."""
+        """L(x, v) over plain floats, with a domain check; a non-finite L
+        raises ArithmeticError."""
         self.check_sample(x, v)
-        return float(self.func([float(c) for c in x], [float(c) for c in v]))
+        L = float(self.func([float(c) for c in x], [float(c) for c in v]))
+        if not np.isfinite(L):
+            raise ArithmeticError(
+                f"L of metric {self.name!r} is {L} at x={np.asarray(x).tolist()}, v={np.asarray(v).tolist()}"
+            )
+        return L
 
 
 @dataclass(frozen=True)

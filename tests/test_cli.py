@@ -541,3 +541,29 @@ def test_verify_refuses_a_negative_seed_with_one_error_line(tmp_path, capsys):
     out = tmp_path / "rep.json"
     assert main(["verify", "--plan", str(path), "--seed", "4", "--out", str(out)]) == 0
     assert json.loads(out.read_text())["seed"] == 4
+
+
+def test_non_finite_fundamental_tensor_is_one_error_line(capsys):
+    # g of the round sphere at x = 1e200 overflows; cond(g) would end in
+    # LAPACK's "SVD did not converge"
+    code = main(["curvature", "--metric", "sphere_round", "--x", "1e200,0", "--v", "1,0", "--u", "0,1"])
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err[-1].startswith("error: fundamental tensor")
+    assert not any("SVD" in line for line in err)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["curvature", "--metric", "euclidean", "--x", "0,0", "--v", "1e300,0", "--u", "0,1"],
+        ["table", "--metric", "euclidean", "--v", "1e200,0", "--u", "0,1", "--grid", "2"],
+    ],
+)
+def test_non_finite_L_is_one_error_line_and_no_output(argv, capsys):
+    code = main(argv)
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip().splitlines()
+    assert err[-1].startswith("error: arithmetic failure while evaluating: L of metric 'euclidean' is inf")

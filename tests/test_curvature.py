@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from finsler.connection import VectorFieldOnChart, _christoffel, christoffel_with_partials, nabla
+from finsler.connection import VectorFieldOnChart, _christoffel, _covariant, christoffel_with_partials, nabla
 from finsler.curvature import (
-    _covariant_acceleration,
     _h,
     _r_along_curve,
     _r_along_curve_direct,
@@ -27,7 +26,6 @@ from finsler.curves import (
     FieldAlongCurve,
     TwoParamMap,
     _commutation,
-    _cov_deriv_along,
     cov_deriv_along,
     geodesic_shoot,
     mixed_derivative_commutation,
@@ -355,10 +353,10 @@ def test_public_curve_helpers_equal_their_held_value_bodies(name, dim):
     x, v, acc = curve.position(0.0), curve.velocity(0.0), curve.acceleration(0.0)
     G = _christoffel(m, x, v).Gamma
     cp = christoffel_with_partials(m, x, v)
-    cov_acc = _covariant_acceleration(cp.Gamma, v, acc)
+    cov_acc = _covariant(cp.Gamma, acc, v, v)
     eq = np.testing.assert_array_equal
 
-    eq(covariant_acceleration(m, curve, 0.0), _covariant_acceleration(G, v, acc))
+    eq(covariant_acceleration(m, curve, 0.0), _covariant(G, acc, v, v))
     eq(h_tensor(m, curve, 0.0, u, w), _h(cp, cov_acc, u, w))
     eq(r_along_curve(m, curve, 0.0, u, w), _r_along_curve(v, cp, cov_acc, u, w))
     direct = r_along_curve_direct(m, curve, 0.0, u, w, rng=np.random.default_rng(5))
@@ -367,7 +365,7 @@ def test_public_curve_helpers_equal_their_held_value_bodies(name, dim):
     W = random_curve_field(rng, dim, _admissible_vector(m, rng, x))
     X = random_curve_field(rng, dim, u)
     Gw = _christoffel(m, x, W.value(0.0)).Gamma
-    along = _cov_deriv_along(Gw, X.value(0.0), X.derivative(0.0), v)
+    along = _covariant(Gw, X.derivative(0.0), X.value(0.0), v)
     eq(cov_deriv_along(m, curve, W, X, 0.0), along)
 
     c = rng.uniform(-0.5, 0.5, (dim, 3))
@@ -380,6 +378,11 @@ def test_public_curve_helpers_equal_their_held_value_bodies(name, dim):
     p = lam.partials(0.0, 0.0)
     want = _commutation(_christoffel(m, p["value"], v).Gamma, p)
     assert mixed_derivative_commutation(m, lam, lambda t, s_: v, 0.0, 0.0) == want
+
+    V = extension_field(x, v, rng.uniform(-1.0, 1.0, (dim, dim)))
+    Xf, Yf = (random_polynomial_field(rng, dim, 2, center=x) for _ in range(2))
+    Xv, JY = Xf.value(x), Yf.jacobian(x)
+    eq(nabla(m, V, Xf, Yf, x), _covariant(G, JY @ Xv, Xv, Yf.value(x)))
 
 
 # -- inadmissible reference values ---------------------------------------------
