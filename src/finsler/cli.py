@@ -312,7 +312,11 @@ def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     args = parser.parse_args(_attach_negative_vectors(argv))
     try:
-        return args.func(args)
+        # an overflowing input ends in one error line below, from the check
+        # that refuses a non-finite g or L; numpy's warnings on the overflow
+        # before it would print lines of their own
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except FinslerError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

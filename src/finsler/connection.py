@@ -174,8 +174,15 @@ def christoffel_with_partials(metric, x, v):
     order-4 evaluation of L: the assembly runs once over values carrying
     their derivatives along the 2n (x, y) directions."""
     blocks = metric_blocks(metric, x, v, order=4)
-    n = metric.dim
     check_nondegenerate(blocks.g, f"at x={np.asarray(x).tolist()}, v={np.asarray(v).tolist()}")
+    return _with_partials(blocks)
+
+
+def _with_partials(blocks):
+    """christoffel_with_partials' assembly from order-4 blocks, real or
+    complex: on stepped blocks (see `geometry._stepped_blocks`) every output
+    carries its derivative along the step as its imaginary part."""
+    n = len(blocks.v)
     # derivatives along (x^0..x^{n-1}, y^0..y^{n-1}) on the trailing axis
     g_t = np.concatenate([blocks.dg_dx, blocks.dg_dy], axis=-1)
     dg_t = np.concatenate([blocks.d2g_dxdx, 2.0 * blocks.dC_dx.swapaxes(2, 3)], axis=-1)

@@ -27,14 +27,20 @@ import numpy as np
 from .connection import (
     _christoffel,
     _covariant,
+    _with_partials,
     christoffel_core,
     christoffel_with_partials,
     inverse_with_tangent,
     tangent_einsum,
     tangent_map,
 )
-from .geometry import composed_blocks
+from .geometry import _L_jet, _stepped_blocks, check_nondegenerate, composed_blocks
 from .jets import seed
+
+# The complex step h: Im f(z + i h dz) / h is the derivative of an analytic
+# f along dz with no difference taken, so no cancellation (Squire and Trapp,
+# SIAM Review 40, 1998); h^2 lies far below the roundoff of any real part.
+_STEP = 1e-30
 
 
 def hh_block(cp):
@@ -89,6 +95,28 @@ def curvature_field(metric, V, X, Y, Z, x):
     cp = christoffel_with_partials(metric, x, V.value(x))
     Rc = field_curvature_block(cp, V.jacobian(x))
     return np.einsum("kabc,a,b,c->k", Rc, X.value(x), Y.value(x), Z.value(x))
+
+
+def _curvature_field_derivatives(metric, V, x, terms):
+    """For each (A, X, Y, Z) in `terms`, a direction at x and three chart
+    fields, the derivative along A of p -> R^V(X, Y)Z at p = x, exact to
+    roundoff.
+
+    Along x + sA the sample moves along (A, JV A).  One order-5 record of L
+    at (x, V(x)) gives the order-4 blocks B stepped to B + i h dB/ds; the
+    Jacobian of V enters as JV + i h HV A and each field as X(x) + i h JX A.
+    The contraction's imaginary part over h is the derivative."""
+    x = np.asarray(x, dtype=float)
+    v, JV, HV = V.derivatives2(x)
+    LJ = _L_jet(metric, x, v, 5)
+    out = []
+    for A, *fields in terms:
+        blocks = _stepped_blocks(LJ, x, v, np.concatenate([A, JV @ A]), _STEP)
+        check_nondegenerate(blocks.g.real, f"at x={x.tolist()}, v={v.tolist()}")
+        Rc = field_curvature_block(_with_partials(blocks), JV + 1j * _STEP * (HV @ A))
+        factors = [F.value(x) + 1j * _STEP * (F.jacobian(x) @ A) for F in fields]
+        out.append(np.einsum("kabc,a,b,c->k", Rc, *factors).imag / _STEP)
+    return out
 
 
 def curvature_field_nested(metric, V, X, Y, Z, x):

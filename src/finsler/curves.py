@@ -149,7 +149,7 @@ def _spray(metric, x, v):
     g_ij v^i v^j = L turn the contracted dg/dx into first x-derivatives of
     L and L_y, so an order-2 jet of L suffices.
     """
-    blocks = _gather_blocks(_L_jet(metric, x, v, 2), metric.dim, names=_SPRAY_BLOCKS)
+    blocks = _gather_blocks(_L_jet(metric, x, v, 2).coeffs, 2, metric.dim, names=_SPRAY_BLOCKS)
     b = blocks["d2L_dydx"] @ v - blocks["dL_dx"]
     try:
         return -0.5 * np.linalg.solve(blocks["g"], b)

@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DegenerateMetricError
-from .jets import Jet, jet_space, record, seed
+from .jets import Jet, derivative_along, jet_space, record, seed
 
 COND_LIMIT = 1e10
 
@@ -74,11 +74,10 @@ def _block_gather(n, order, n_outer=0, names=None):
     return tuple(out)
 
 
-def _gather_blocks(LJ, n, n_outer=0, names=None):
-    """Every block held by the L jet `LJ`, or those in the tuple `names`
-    (see `_block_gather`), by name."""
-    c = LJ.coeffs
-    table = _block_gather(n, LJ.space.order, n_outer, names)
+def _gather_blocks(c, order, n, n_outer=0, names=None):
+    """Every block held by the coefficients `c` of an L jet of `order`, or
+    those in the tuple `names` (see `_block_gather`), by name."""
+    table = _block_gather(n, order, n_outer, names)
     return {name: c[pos] * scale for name, pos, scale in table}
 
 
@@ -141,7 +140,21 @@ def metric_blocks(metric, x, v, order):
     LJ = _L_jet(metric, x, v, order)
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
-    return SampleBlocks(x=x, v=v, order=order, L=LJ.value, **_gather_blocks(LJ, metric.dim))
+    return SampleBlocks(x=x, v=v, order=order, L=LJ.value, **_gather_blocks(LJ.coeffs, order, metric.dim))
+
+
+def _stepped_blocks(LJ, x, v, d, h):
+    """The blocks one order below the L jet `LJ` at (x, v), stepped into the
+    complex plane along d = (dx, dv): each block B is B + i h dB, with dB
+    its exact derivative along d (see `jets.derivative_along`).  A function
+    of the blocks built from analytic operations then carries its own
+    derivative along d, as its imaginary part over h."""
+    c, dc = derivative_along(LJ, d)
+    c = c + 1j * h * dc
+    n, order = len(x), LJ.space.order - 1
+    return SampleBlocks(
+        x=x + 1j * h * d[:n], v=v + 1j * h * d[n:], order=order, L=c[0], **_gather_blocks(c, order, n)
+    )
 
 
 def check_nondegenerate(g, context=""):
@@ -189,5 +202,5 @@ def composed_blocks(metric, x_jets, v_jets, n_outer):
     if combined.nvars != n_outer + 2 * n or combined.order != 4:
         raise ValueError("combined space must be order 4 over n_outer + 2*dim variables")
     LJ = _as_jet(metric.func(list(x_jets), list(v_jets)), combined)
-    blocks = _gather_blocks(LJ, n, n_outer)
+    blocks = _gather_blocks(LJ.coeffs, 4, n, n_outer)
     return {name: (b[..., 0], b[..., 1:]) for name, b in blocks.items()}

@@ -1,7 +1,9 @@
 """Truncated multivariate Taylor arithmetic (forward-mode jets).
 
 A :class:`Jet` stores the Taylor coefficients of a scalar function of
-``nvars`` seed variables up to total degree ``order`` (at most 4).  All
+``nvars`` seed variables up to total degree ``order`` (at most 5: order 4
+carries the Christoffel symbols' partials, and order 5 one derivative more,
+for the outer derivative of the curvature).  All
 arithmetic is exact truncated Taylor arithmetic, so for polynomial inputs of
 degree <= order every extracted partial derivative is exact up to roundoff.
 
@@ -39,7 +41,7 @@ from numbers import Real
 
 import numpy as np
 
-MAX_ORDER = 4
+MAX_ORDER = 5
 
 # float and int first: they cover nearly every operand, and the Real ABC
 # check behind them is slow.
@@ -108,9 +110,8 @@ class JetSpace:
         self.order = order
         self.monomials = _monomials(nvars, order)
         self.size = len(self.monomials)
-        self.index = {m: i for i, m in enumerate(self.monomials)}
         expo = np.array(self.monomials)
-        # products of factorials up to 4! are exact in floating point
+        # products of factorials up to 5! are exact in floating point
         self.factorials = np.array([math.factorial(d) for d in range(order + 1)], dtype=float)[expo].prod(1)
         self.degrees = expo.sum(1)
         self._mul_i, self._mul_j, self._mul_k = _product_rows(expo, order)
@@ -146,6 +147,11 @@ class JetSpace:
         return got
 
     @cached_property
+    def index(self):
+        """Monomial exponent tuple -> its slot."""
+        return {m: i for i, m in enumerate(self.monomials)}
+
+    @cached_property
     def seed_units(self):
         """(nvars, size) array whose row `slot` is one unit of the seed
         variable in `slot`: graded-lex order puts x_slot's degree-1 monomial
@@ -155,19 +161,35 @@ class JetSpace:
         units[slots, self.nvars - slots] = 1.0
         return units
 
+    def _steps(self):
+        """step[p, a]: the position of monomial p times x_a, 0 past the order,
+        read off the multiplication table's pairs with a degree-1 factor
+        (x_a sits in slot nvars - a)."""
+        step = np.zeros((self.size, self.nvars), dtype=np.intp)
+        one = self.degrees[self._mul_j] == 1
+        step[self._mul_i[one], self.nvars - self._mul_j[one]] = self._mul_k[one]
+        return step
+
     @cached_property
     def partial_tables(self):
         """(positions, scales) for k = 0..order: `coeffs[positions] * scales`
         is the k-th partial tensor of a jet, of shape (nvars,)*k."""
-        # step[p, a]: position of monomial p times x_a (0 past the order)
-        step = np.array(
-            [[self.index.get(m[:a] + (m[a] + 1,) + m[a + 1 :], 0) for a in range(self.nvars)]
-             for m in self.monomials]
-        )
+        step = self._steps()
         positions = [np.zeros((), dtype=np.intp)]
         while len(positions) <= self.order:
             positions.append(step[positions[-1]])
         return tuple((pos, self.factorials[pos]) for pos in positions)
+
+    @cached_property
+    def derivative_table(self):
+        """(positions, scales) over the slots of degree < order:
+        `(coeffs[positions] * scales) @ d` is the coefficient array, in the
+        space one order lower, of the derivative along d of the jet
+        `coeffs`.  Coefficient p of d/dx_a is (p_a + 1) times coefficient
+        p + e_a, and p_a + 1 = (p + e_a)! / p!."""
+        size = int(np.searchsorted(self.degrees, self.order))
+        pos = self._steps()[:size]
+        return pos, self.factorials[pos] / self.factorials[:size, None]
 
     def __repr__(self):
         return f"JetSpace(nvars={self.nvars}, order={self.order})"
@@ -508,10 +530,12 @@ class Program:
     """The kernel steps one function took on seed jets, replayable on other
     seed rows of the same space.
 
-    A step is (kernel, input registers, static arguments): registers are
-    the seed rows, then the result of each step in turn, and `output` is
-    the register of the function's result.  `replayable` turns False when
-    the function does something a replay cannot repeat.
+    While recording, a step is (kernel, input registers, static
+    arguments): registers are the seed rows, then the result of each step
+    in turn.  `replayable` turns False when the function does something a
+    replay cannot repeat.  `_finish` maps the registers to the slots of a
+    replay and gives each step its output slot; `output` is the slot of the
+    function's result.
     """
 
     def __init__(self, space):
@@ -541,18 +565,40 @@ class Program:
         self.steps.append((kernel, tuple(ins), static))
         return self._register(out)
 
+    def _finish(self, out):
+        """End the recording at its result `out`.  A register's slot is
+        reused by a later result once no step reads it, so a replay holds
+        the live registers only, not one array per step."""
+        last = {r: s for s, (_, ins, _) in enumerate(self.steps) for r in ins}
+        last[out.register] = len(self.steps)
+        nvars = self.space.nvars
+        slot = list(range(nvars))  # register -> slot
+        free = [r for r in range(nvars) if r not in last]
+        self.slots = nvars
+        steps = []
+        for s, (kernel, ins, static) in enumerate(self.steps):
+            free.extend(slot[r] for r in set(ins) if last[r] == s)
+            if free:
+                slot.append(free.pop())
+            else:
+                slot.append(self.slots)
+                self.slots += 1
+            if nvars + s not in last:  # a result that nothing reads
+                free.append(slot[-1])
+            steps.append((kernel, tuple(slot[r] for r in ins), static, slot[-1]))
+        self.steps, self.output, self.degree = steps, slot[out.register], out.degree
+
     def run(self, rows):
         """The function's jet at the seeds whose coefficients are `rows`."""
-        regs = list(rows)
-        push = regs.append
+        regs = list(rows) + [None] * (self.slots - len(rows))
         # spelled out by arity: no per-step list of operands
-        for kernel, ins, static in self.steps:
+        for kernel, ins, static, out in self.steps:
             if len(ins) == 2:
-                push(kernel(regs[ins[0]], regs[ins[1]], *static))
+                regs[out] = kernel(regs[ins[0]], regs[ins[1]], *static)
             elif ins:
-                push(kernel(regs[ins[0]], *static))
+                regs[out] = kernel(regs[ins[0]], *static)
             else:
-                push(kernel(*static))
+                regs[out] = kernel(*static)
         return _jet(self.space, regs[self.output], self.degree)
 
 
@@ -614,8 +660,17 @@ def record(func, space, rows):
     if getattr(out, "program", None) is not program or not program.replayable:
         program = None
     else:
-        program.output, program.degree = out.register, out.degree
+        program._finish(out)
     return _jet(out.space, out.coeffs, out.degree), program
+
+
+def derivative_along(jet, direction):
+    """The coefficient arrays, over jet_space(nvars, order - 1), of `jet`
+    truncated one order lower and of its derivative along `direction` (one
+    entry per seed variable); the truncation holds that derivative exactly.
+    Graded-lex order puts the slots of degree < order first."""
+    pos, scale = jet.space.derivative_table
+    return jet.coeffs[: len(pos)], (jet.coeffs[pos] * scale) @ direction
 
 
 def partials(space, components):

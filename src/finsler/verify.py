@@ -23,12 +23,12 @@ from . import jets
 from .connection import _covariant, christoffel, christoffel_with_partials
 from .curvature import (
     _b_terms,
+    _curvature_field_derivatives,
     _curve_point,
     _h,
     _r_along_curve,
     _r_along_curve_direct,
     cartan_derivative_block,
-    curvature_field,
     field_curvature_block,
     flag_curvature,
 )
@@ -465,21 +465,16 @@ def _field_identities(metric, sample, cp, rng, plan, heavy):
         yield "six_b", _rel(q1 - q2 - rhs, q1, q2, rhs, max(s for _, s in bs))
 
         # second Bianchi: cyclic sum of (nabla_A R^V)(B1, B2)W.  The outer
-        # derivative of the curvature needs fifth derivatives of L, so it is
-        # taken by fourth-order central differences of the exact curvature
-        # field along A.
-        h = 0.002
+        # derivative of the curvature field along A needs fifth derivatives
+        # of L; it is exact, from one order-5 record at the sample.
+        cycles = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+        dTs = _curvature_field_derivatives(
+            metric, V, x0, [(vals[a], fields[b1], fields[b2], fields[3]) for a, b1, b2 in cycles]
+        )
         total = np.zeros(n)
         scale = 1e-2
-        for a, b1, b2 in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        for (a, b1, b2), dT in zip(cycles, dTs):
             Av, B1v, B2v = vals[a], vals[b1], vals[b2]
-            norm = np.linalg.norm(Av)
-            e = Av / norm
-            steps = [
-                curvature_field(metric, V, fields[b1], fields[b2], fields[3], x0 + step * h * e)
-                for step in (-2.0, -1.0, 1.0, 2.0)
-            ]
-            dT = (steps[0] - 8.0 * steps[1] + 8.0 * steps[2] - steps[3]) / (12.0 * h) * norm
             first = _covariant(G, dT, Av, R(B1v, B2v, Wv))
             term = (
                 first

@@ -5,6 +5,7 @@ import pytest
 
 from finsler.connection import VectorFieldOnChart, _christoffel, _covariant, christoffel_with_partials, nabla
 from finsler.curvature import (
+    _curvature_field_derivatives,
     _h,
     _r_along_curve,
     _r_along_curve_direct,
@@ -12,6 +13,7 @@ from finsler.curvature import (
     covariant_acceleration,
     curvature_field,
     curvature_field_nested,
+    field_curvature_block,
     flag_curvature,
     flag_curvature_predecessor,
     h_tensor,
@@ -108,6 +110,75 @@ def test_nested_derivative_path_agrees_with_tensorial_path():
         a = curvature_field(m, V, X, Y, Z, x)
         b = curvature_field_nested(m, V, X, Y, Z, x)
         np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-12)
+
+
+# -- the outer derivative of the curvature field ---------------------------------
+
+
+def _bianchi_draw(m, rng):
+    """A sample point, a reference extension V through the sample's vector
+    and four random fields there, as the sweep's heavy samples draw them."""
+    n = m.dim
+    s = sample_tangent(m, rng, (-0.6, 0.6))
+    V = extension_field(s.x, s.v, rng.uniform(-1, 1, (n, n)), quad=rng.uniform(-1, 1, (n, n, n)))
+    return s.x, V, [random_polynomial_field(rng, n, 3, center=s.x) for _ in range(4)]
+
+
+def _stencil_derivative(m, V, fields, x0, A, h):
+    """The derivative along A of R^V(X, Y)Z at x0 by the fourth-order central
+    stencil on curvature_field, with error O(h^4)."""
+    norm = np.linalg.norm(A)
+    T = [curvature_field(m, V, *fields, x0 + k * h * (A / norm)) for k in (-2.0, -1.0, 1.0, 2.0)]
+    return (T[0] - 8.0 * T[1] + 8.0 * T[2] - T[3]) / (12.0 * h) * norm
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_exact_curvature_derivative_agrees_with_the_stencil_within_its_error(dim):
+    # The stencil's error is its h^4 term, which |D(2h) - D(h)| / 15
+    # estimates (Richardson).  On every family the exact derivative missed
+    # D(h) by 0.99-1.00 of that estimate, so the bound is 2x the estimate
+    # plus 1e-12 relative for the stencil's roundoff (about eps / h).
+    rng = np.random.default_rng(40 + dim)
+    for m in default_metrics(dim):
+        for _ in range(3):
+            x0, V, (X, *fields) = _bianchi_draw(m, rng)
+            A = X.value(x0)
+            (exact,) = _curvature_field_derivatives(m, V, x0, [(A, *fields)])
+            d1 = _stencil_derivative(m, V, fields, x0, A, 0.002)
+            d2 = _stencil_derivative(m, V, fields, x0, A, 0.004)
+            bound = 2.0 * np.abs(d2 - d1).max() / 15.0 + 1e-12 * np.abs(exact).max()
+            assert np.abs(exact - d1).max() <= bound, m.name
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+@pytest.mark.parametrize("name", ["euclidean", "sphere_round"])
+def test_the_curvature_of_a_constant_curvature_metric_is_parallel(name, dim):
+    # Riemannian with R = K (g(Y, Z)X - g(X, Z)Y) and nabla g = 0, so every
+    # term (nabla_A R)(B1, B2)W vanishes, whatever the reference field; it
+    # read at most 1e-15 of its largest part at dims 2-4
+    m = builtin(name, dim=dim)
+    rng = np.random.default_rng(50 + dim)
+    for _ in range(4):
+        x0, V, (X, B1, B2, W) = _bianchi_draw(m, rng)
+        A = X.value(x0)
+        (dT,) = _curvature_field_derivatives(m, V, x0, [(A, B1, B2, W)])
+        cp = christoffel_with_partials(m, x0, V.value(x0))
+        Rc = field_curvature_block(cp, V.jacobian(x0))
+
+        def R(*slots):
+            return np.einsum("kabc,a,b,c->k", Rc, *slots)
+
+        b1, b2, w = (F.value(x0) for F in (B1, B2, W))
+        nb1, nb2, nw = (_covariant(cp.Gamma, F.jacobian(x0) @ A, A, F.value(x0)) for F in (B1, B2, W))
+        terms = [
+            dT,
+            np.einsum("kij,i,j->k", cp.Gamma, A, R(b1, b2, w)),
+            -R(nb1, b2, w),
+            -R(b1, nb2, w),
+            -R(b1, b2, nw),
+        ]
+        scale = max(np.abs(t).max() for t in terms)
+        assert np.abs(sum(terms)).max() <= 1e-13 * scale
 
 
 # -- covariant derivative of the Cartan tensor ----------------------------------
@@ -425,6 +496,9 @@ _REFERENCE_HELPERS = {
     "nabla": _chart(nabla, 2),
     "curvature_field": _chart(curvature_field, 3),
     "curvature_field_nested": _chart(curvature_field_nested, 3),
+    "_curvature_field_derivatives": _chart(
+        lambda m, V, X, Y, Z, x: _curvature_field_derivatives(m, V, x, [(np.array([0.2, 0.1]), X, Y, Z)]), 3
+    ),
     "nabla_cartan": _chart(nabla_cartan, 4),
     "b_tensor": _chart(b_tensor, 4),
     "cov_deriv_along": _cov_deriv,

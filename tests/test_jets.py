@@ -54,7 +54,7 @@ def test_order_out_of_range_rejected():
     with pytest.raises(ValueError):
         seed([1.0], 0)
     with pytest.raises(ValueError):
-        seed([1.0], 5)
+        seed([1.0], 6)
     with pytest.raises(ValueError):
         seed([], 2)
 
@@ -199,7 +199,7 @@ def test_division_roundtrip(a):
     np.testing.assert_allclose(((f / jb) * jb).coeffs, f.coeffs, rtol=1e-12, atol=1e-12)
 
 
-@pytest.mark.parametrize("order", [1, 2, 3, 4])
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("nvars", [1, 2, 3, 4, 5, 6])
 def test_partials_equal_extract_entry_for_entry(nvars, order):
     rng = np.random.default_rng(10 * nvars + order)
@@ -215,6 +215,24 @@ def test_partials_equal_extract_entry_for_entry(nvars, order):
             c = comps[idx[0]]
             want = c.extract(mono) if isinstance(c, Jet) else (float(c) if k == 0 else 0.0)
             assert block[idx] == want
+
+
+def test_derivative_along_matches_sympy():
+    z = sp.symbols("z0 z1 z2")
+    expr = sp.exp(z[0] * z[1]) + sp.sin(z[0] + 2 * z[2]) * z[1] ** 3 / (2 + z[2] ** 2)
+    at = {zi: sp.Rational(c, 10) for zi, c in zip(z, (3, -4, 2))}
+    d = (0.7, -1.3, 0.4)
+    x, y, w = seed([0.3, -0.4, 0.2], 5)
+    jet = jets.exp(x * y) + jets.sin(x + 2 * w) * y**3 / (2 + w**2)
+    low, deriv = jets.derivative_along(jet, np.array(d))
+    space = jet_space(3, 4)
+    along = sum(sp.Rational(c).limit_denominator() * sp.diff(expr, zi) for c, zi in zip(d, z))
+    for pos, mono in enumerate(space.monomials):
+        scale = math.prod(math.factorial(k) for k in mono)
+        assert low[pos] * scale == pytest.approx(jet.extract(mono), rel=1e-15, abs=1e-15)
+        wrt = [zi for zi, k in zip(z, mono) for _ in range(k)]
+        want = float((sp.diff(along, *wrt) if wrt else along).subs(at))
+        assert deriv[pos] * scale == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 def test_partials_of_only_constants_need_the_space_alone():
@@ -253,11 +271,12 @@ def _loop_product_rows(space):
     return np.array(rows_i), np.array(rows_j), np.array(rows_k)
 
 
-# Every space of 1-10 variables, then two where an integer key over the
-# exponents in radix order + 1 would overflow int64: an order-2 L jet at dim
-# 20 and an order-4 one at dim 14.
+# Every space of 1-10 variables up to order 4 and of 1-8 up to order 5, then
+# two where an integer key over the exponents in radix order + 1 would
+# overflow int64: an order-2 L jet at dim 20 and an order-4 one at dim 14.
 @pytest.mark.parametrize(
-    "nvars, order", [(n, o) for n in range(1, 11) for o in range(1, 5)] + [(40, 2), (28, 4)]
+    "nvars, order",
+    [(n, o) for n in range(1, 11) for o in range(1, 5)] + [(n, 5) for n in range(1, 9)] + [(40, 2), (28, 4)],
 )
 def test_product_table_equals_the_loop_over_output_monomials(nvars, order):
     space = jet_space(nvars, order)
@@ -273,9 +292,9 @@ def test_product_table_equals_the_loop_over_output_monomials(nvars, order):
 def test_large_integer_powers_match_sympy(p):
     x = sp.Symbol("x")
     expr = (sp.Rational(11, 10) + x + sp.Rational(3, 10) * x**2) ** p
-    (t,) = seed([0.2], 4)
+    (t,) = seed([0.2], jets.MAX_ORDER)
     jet = (1.1 + t + 0.3 * t * t) ** p
-    for k in range(5):
+    for k in range(jets.MAX_ORDER + 1):
         want = float(sp.diff(expr, x, k).subs(x, sp.Rational(1, 5)))
         assert jet.extract((k,)) == pytest.approx(want, rel=1e-12)
 
@@ -285,6 +304,10 @@ def test_large_integer_power_of_zero_base():
     np.testing.assert_array_equal(((t * s) ** 37).coeffs, 0.0)
     with pytest.raises(ZeroDivisionError):
         (t * s) ** -37
+    # up to MAX_ORDER a zero base takes repeated products, whose top degree
+    # an order-5 jet holds
+    t, s = seed([0.0, 1.0], 5)
+    assert (t**5).extract((5, 0)) == 120.0
 
 
 def test_small_integer_powers_stay_repeated_products():
@@ -293,6 +316,7 @@ def test_small_integer_powers_stay_repeated_products():
     for two in (2, 2.0, np.int64(2)):
         np.testing.assert_array_equal((u**two).coeffs, (u * u).coeffs)
     np.testing.assert_array_equal((u**3).coeffs, (u * u * u).coeffs)
+    np.testing.assert_array_equal((u**5).coeffs, (u * u * u * u * u).coeffs)
     np.testing.assert_array_equal((u**-4.0).coeffs, (u * u * u * u)._reciprocal().coeffs)
 
 

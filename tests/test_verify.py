@@ -260,6 +260,14 @@ def test_default_plan_passes_at_dimension_three():
     assert flags["flag_funk"] <= 1e-4  # the constant holds in dimension 3 too
 
 
+def test_a_heavy_sample_at_the_domain_boundary_ends_in_a_report():
+    # a heavy funk sample of this plan lies within 0.004 of the unit ball's
+    # boundary, so points x0 +- 2h A/|A| of a step-0.002 stencil leave the
+    # domain; the second-Bianchi derivative reads L at the sample alone
+    report = run_verification(default_plan(20, seed=2, dim=6))
+    assert report.passed, [r.name for r in report.results if not r.passed]
+
+
 # Each report row: the sweep kind that yields it and the residuals it yields
 # per draw of that sweep.  Point draws past `heavy_samples` skip the heavy rows.
 _SWEEP_ROWS = {
