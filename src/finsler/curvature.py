@@ -28,14 +28,11 @@ from .connection import (
     _christoffel,
     _covariant,
     _with_partials,
-    christoffel_core,
     christoffel_with_partials,
-    inverse_with_tangent,
     tangent_einsum,
     tangent_map,
 )
-from .geometry import _L_jet, _stepped_blocks, check_nondegenerate, composed_blocks
-from .jets import seed
+from .geometry import _L_jet, _stepped_blocks, check_nondegenerate
 
 # The complex step h: Im f(z + i h dz) / h is the derivative of an analytic
 # f along dz with no difference taken, so no cancellation (Squire and Trapp,
@@ -251,23 +248,29 @@ def r_along_curve_direct(metric, curve, t, u, w, rng=None):
     """R^gamma(gammadot, u)w by the direct two-parameter-map commutator
     D_t(D_s W) - D_s(D_t W), with the u-extension parallel along the curve.
 
-    The map is a polynomial jet built from the curve's 2-jet; with `rng` the
-    free jet data (second s-derivative and the W-field's derivatives) gets
-    random values, which the commutator provably cancels.  Every quantity is
-    a value with its (d/dt, d/ds) derivatives on a trailing axis."""
-    x0 = curve.position(t)
-    v0 = curve.velocity(t)
-    Gamma = _christoffel(metric, x0, v0).Gamma
-    return _r_along_curve_direct(metric, Gamma, x0, v0, curve.acceleration(t), u, w, rng)
+    The map's (t, s) data at the curve point come from the curve's 2-jet;
+    with `rng` the free data (second s-derivative and the W-field's
+    derivatives) gets random values, which the commutator provably cancels.
+    Every quantity is a value with its (d/dt, d/ds) derivatives on a
+    trailing axis; Gamma's follow from its x- and y-partials at the curve
+    point by the chain rule."""
+    cp = christoffel_with_partials(metric, curve.position(t), curve.velocity(t))
+    return _r_along_curve_direct(cp, curve.acceleration(t), u, w, rng)
 
 
-def _r_along_curve_direct(metric, Gamma0, x0, v0, acc2, u, w, rng):
-    """r_along_curve_direct from held values: the symbols Gamma0 at the
-    curve point (x0, v0) and the coordinate acceleration acc2 there."""
-    n = metric.dim
+def _gamma_along(cp, dx, dy):
+    """The derivative of Gamma along (dx, dy) at the sample of cp."""
+    return cp.dGamma_dx @ dx + cp.dGamma_dy @ dy
+
+
+def _r_along_curve_direct(cp, acc2, u, w, rng):
+    """r_along_curve_direct from held values: the Christoffel partials cp at
+    the curve point (x0, v0) and the coordinate acceleration acc2 there."""
+    v0, G = cp.v, cp.Gamma
+    n = len(v0)
     u = np.asarray(u, dtype=float)
     w = np.asarray(w, dtype=float)
-    udot = -np.einsum("kij,i,j->k", Gamma0, u, v0)
+    udot = -np.einsum("kij,i,j->k", G, u, v0)
 
     if rng is None:
         lam_ss = np.zeros(n)
@@ -275,38 +278,13 @@ def _r_along_curve_direct(metric, Gamma0, x0, v0, acc2, u, w, rng):
     else:
         lam_ss, w_t, w_s, w_ts, w_tt, w_ss = rng.uniform(-1.0, 1.0, (6, n))
 
-    t1, s1, *xy = seed(np.zeros(2 + 2 * n), 4)
-    tt, ts, ss = t1 * t1, t1 * s1, s1 * s1
-    x_jets, v_jets = [], []
-    for i in range(n):
-        lam = (
-            x0[i]
-            + t1 * v0[i]
-            + tt * (0.5 * acc2[i])
-            + s1 * u[i]
-            + ts * udot[i]
-            + ss * (0.5 * lam_ss[i])
-        )
-        lam_t = v0[i] + t1 * acc2[i] + s1 * udot[i]
-        x_jets.append(lam + xy[i])
-        v_jets.append(lam_t + xy[n + i])
-    blocks = composed_blocks(metric, x_jets, v_jets, n_outer=2)
-    g, g_t = blocks["g"]
-    dg, dg_t = blocks["dg_dx"]
-    C, C_t = blocks["C"]
-
     def with_ts(value, d_t, d_s):
         return value, np.stack([d_t, d_s], axis=-1)
 
     lam_t = with_ts(v0, acc2, udot)
     lam_s = with_ts(u, udot, lam_ss)
     W = with_ts(w, w_t, w_s)
-
-    ginv, ginv_t = inverse_with_tangent(g, g_t)
-    (_, _, _, G), (_, _, _, G_t) = christoffel_core(
-        dg, C, v0, ginv, tangents=(dg_t, C_t, lam_t[1], ginv_t)
-    )
-    Gamma = (G, G_t)
+    Gamma = with_ts(G, _gamma_along(cp, v0, acc2), _gamma_along(cp, u, udot))
 
     DsW, DsW_t = tangent_map(
         np.add, with_ts(w_s, w_ts, w_ss), tangent_einsum("i,j,kij->k", W, lam_s, Gamma)
@@ -337,6 +315,13 @@ def flag_curvature_predecessor(metric, sample, u, w):
     cp = christoffel_with_partials(metric, sample.x, sample.v)
     g, v = cp.g, sample.v
     L = metric.value(sample.x, sample.v)
+    size = float(np.abs(v).max())
+    if abs(L) < np.finfo(float).tiny and metric.value(sample.x, v / size) != 0.0:
+        # L(x, v) = |v|^2 L(x, v/|v|): the flag is fine, its scale is lost
+        raise ValueError(
+            f"L underflows at |v| = {size:.3g}: L(x, v) = {L:.3g} is below the smallest "
+            "normal float, though L(x, v/|v|) is not; rescale v"
+        )
     gu, gw = g @ u, g @ w
     den = L * float(u @ gw) - float(v @ gu) * float(v @ gw)
     scale = abs(L * float(u @ gw)) + abs(float(v @ gu) * float(v @ gw)) + 1e-300

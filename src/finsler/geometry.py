@@ -50,34 +50,26 @@ _BLOCKS = (
 
 
 @lru_cache(maxsize=None)
-def _block_gather(n, order, n_outer=0, names=None):
+def _block_gather(n, order, names=None):
     """(name, positions, scales) for every block an L jet of `order` over
-    (n_outer parameters, x, y) holds, or for those in `names`:
-    `coeffs[positions] * scales` is the block.  With n_outer > 0 the blocks
-    gain a trailing axis holding the value and then its derivative along
-    each parameter."""
-    tables = jet_space(n_outer + 2 * n, order).partial_tables
-    x, y = slice(n_outer, n_outer + n), slice(n_outer + n, n_outer + 2 * n)
+    (x, y) holds, or for those in `names`: `coeffs[positions] * scales` is
+    the block."""
+    tables = jet_space(2 * n, order).partial_tables
+    x, y = slice(n), slice(n, 2 * n)
     out = []
     for name, factor, fiber, base in _BLOCKS:
         k = fiber + base
-        if k + (n_outer > 0) > order or (names is not None and name not in names):
+        if k > order or (names is not None and name not in names):
             continue
-        slots = (y,) * fiber + (x,) * base
-        pos, scale = (a[slots] for a in tables[k])
-        if n_outer:
-            slots += (slice(n_outer),)
-            pos, scale = (
-                np.concatenate([a[..., None], d[slots]], -1) for a, d in zip((pos, scale), tables[k + 1])
-            )
+        pos, scale = (a[(y,) * fiber + (x,) * base] for a in tables[k])
         out.append((name, np.ascontiguousarray(pos), factor * scale))
     return tuple(out)
 
 
-def _gather_blocks(c, order, n, n_outer=0, names=None):
+def _gather_blocks(c, order, n, names=None):
     """Every block held by the coefficients `c` of an L jet of `order`, or
     those in the tuple `names` (see `_block_gather`), by name."""
-    table = _block_gather(n, order, n_outer, names)
+    table = _block_gather(n, order, names)
     return {name: c[pos] * scale for name, pos, scale in table}
 
 
@@ -185,22 +177,3 @@ def tensor_partials(metric, sample):
     """Base and fiber partials of g; dg_dy equals twice the Cartan tensor."""
     blocks = metric_blocks(metric, sample.x, sample.v, order=3)
     return {"dg_dx": blocks.dg_dx, "dg_dy": blocks.dg_dy}
-
-
-def composed_blocks(metric, x_jets, v_jets, n_outer):
-    """Blocks of L along a map of `n_outer` parameters, by name, each as a
-    (value, derivatives) pair with the derivatives along the parameters on
-    a trailing axis.
-
-    `x_jets`/`v_jets` must live in jet_space(n_outer + 2n, 4) and carry the
-    metric's own seed directions in the trailing 2n slots (the caller adds
-    `seed` offsets there).  Used to differentiate the connection
-    through a curve or a two-parameter map by composition.
-    """
-    n = metric.dim
-    combined = x_jets[0].space
-    if combined.nvars != n_outer + 2 * n or combined.order != 4:
-        raise ValueError("combined space must be order 4 over n_outer + 2*dim variables")
-    LJ = _as_jet(metric.func(list(x_jets), list(v_jets)), combined)
-    blocks = _gather_blocks(LJ.coeffs, 4, n, n_outer)
-    return {name: (b[..., 0], b[..., 1:]) for name, b in blocks.items()}

@@ -20,11 +20,13 @@ import numpy as np
 from numpy.polynomial.polynomial import polyder, polyval
 
 from . import jets
-from .connection import _covariant, christoffel, christoffel_with_partials
+from .connection import _covariant, _record, christoffel, christoffel_with_partials
 from .curvature import (
+    _STEP,
     _b_terms,
     _curvature_field_derivatives,
     _curve_point,
+    _gamma_along,
     _h,
     _r_along_curve,
     _r_along_curve_direct,
@@ -40,7 +42,7 @@ from .curves import (
     geodesic_shoot,
 )
 from .errors import FinslerError
-from .geometry import metric_blocks
+from .geometry import _L_jet, _stepped_blocks, metric_blocks
 from .metrics import TangentSample, builtin, check_homogeneity
 
 DEFAULT_TOLERANCES = {
@@ -69,6 +71,7 @@ DEFAULT_TOLERANCES = {
     "two_param_commutation": 1e-10,
     "extension_independence": 1e-8,
     "curve_decomposition": 1e-8,
+    "gamma_partials": 1e-10,
     "h_symmetry": 1e-12,
     "h_zero_geodesic": 1e-8,
     "flag_sphere": 1e-6,
@@ -635,13 +638,23 @@ def _curve_identities(metric, sample, rng, plan, index):
     u = _nonsingular_pair(rng, v0, n)
     w = rng.uniform(-1.0, 1.0, n)
     hh_path = _r_along_curve(v0, cp, acc, u, w)
-    direct1 = _r_along_curve_direct(metric, G, x0, v0, acc2, u, w, rng)
+    direct1 = _r_along_curve_direct(cp, acc2, u, w, rng)
     yield "curve_decomposition", _rel(hh_path - direct1, hh_path, direct1)
 
-    # extension independence: a second jet realization and a chart-field
-    # extension sharing the variational first-order data
-    direct2 = _r_along_curve_direct(metric, G, x0, v0, acc2, u, w, rng)
+    # both sides above read Gamma's (t, s) derivatives off cp by the chain
+    # rule; here they meet a complex step of the order-3 blocks along each
+    # direction, a path through neither tangent_einsum nor inverse_with_tangent
     udot = -np.einsum("kij,i,j->k", G, u, v0)
+    LJ = _L_jet(metric, x0, v0, 4)
+    for a, b in ((v0, acc2), (u, udot)):
+        stepped = _stepped_blocks(LJ, x0, v0, np.concatenate([a, b]), _STEP)
+        got = _record(stepped, np.linalg.inv(stepped.g)).Gamma.imag / _STEP
+        want = _gamma_along(cp, a, b)
+        yield "gamma_partials", _rel(got - want, got, want)
+
+    # extension independence: a second realization of the free data and a
+    # chart-field extension sharing the variational first-order data
+    direct2 = _r_along_curve_direct(cp, acc2, u, w, rng)
     J = _extension_jacobian(rng, v0, u, acc2, udot, n)
     Vext = extension_field(x0, v0, J, quad=rng.uniform(-1.0, 1.0, (n, n, n)))
     Uext = extension_field(x0, u, rng.uniform(-1.0, 1.0, (n, n)))

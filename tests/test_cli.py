@@ -579,3 +579,37 @@ def test_non_finite_L_is_one_error_line_and_no_output(argv, capsys):
     err = captured.err.strip().splitlines()
     assert len(err) == 1
     assert err[0].startswith("error: arithmetic failure while evaluating: L of metric 'euclidean' is inf")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["curvature", "--metric", "sphere_round", "--x", "0,0", "--v", "1e-170,0", "--u", "0,1"],
+        ["table", "--metric", "sphere_round", "--v", "1e-170,0", "--u", "0,1", "--grid", "2"],
+    ],
+)
+def test_underflowing_L_is_named_in_one_error_line(argv, capsys):
+    # L is about |v|^2 and underflows to 0 at |v| = 1e-170; the flag
+    # span(v, u) is not degenerate, so the error names the underflow
+    code = _main_warning_free(argv)
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: L underflows at |v| = 1e-170")
+
+
+def test_small_reference_vector_above_the_underflow_keeps_its_output(capsys):
+    # at |v| = 1e-150, L = 4e-300 on the round sphere at the origin is a
+    # normal float: the records are unchanged
+    argv = ["curvature", "--metric", "sphere_round", "--x", "0,0", "--v", "1e-150,0", "--u", "0,1"]
+    assert _main_warning_free(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["L"], doc["flag_curvature"], doc["jacobi"]) == (4e-300, 1.0, [0.0, 4e-300])
+    argv = ["table", "--metric", "sphere_round", "--v", "1e-150,0", "--u", "0,1", "--grid", "2"]
+    assert _main_warning_free(argv) == 0
+    row = "1.7777777777777778e-300,0.99999999999999978"
+    assert capsys.readouterr().out == (
+        f"x1,x2,L,flag_curvature\n-0.5,-0.5,{row}\n-0.5,0.5,{row}\n0.5,-0.5,{row}\n0.5,0.5,{row}\n"
+    )

@@ -431,7 +431,7 @@ def test_public_curve_helpers_equal_their_held_value_bodies(name, dim):
     eq(h_tensor(m, curve, 0.0, u, w), _h(cp, cov_acc, u, w))
     eq(r_along_curve(m, curve, 0.0, u, w), _r_along_curve(v, cp, cov_acc, u, w))
     direct = r_along_curve_direct(m, curve, 0.0, u, w, rng=np.random.default_rng(5))
-    eq(direct, _r_along_curve_direct(m, G, x, v, acc, u, w, np.random.default_rng(5)))
+    eq(direct, _r_along_curve_direct(cp, acc, u, w, np.random.default_rng(5)))
 
     W = random_curve_field(rng, dim, _admissible_vector(m, rng, x))
     X = random_curve_field(rng, dim, u)

@@ -6,12 +6,11 @@ import pytest
 from finsler.errors import DegenerateMetricError
 from finsler.geometry import (
     cartan_tensor,
-    composed_blocks,
     fundamental_tensor,
     metric_blocks,
     tensor_partials,
 )
-from finsler.jets import Jet, jet_space, seed
+from finsler.jets import Jet, jet_space
 from finsler.metrics import TangentSample, builtin, perturbed_riemannian
 
 from oracles import perturbation_matrix
@@ -212,35 +211,3 @@ def test_sign_indefinite_metric_through_expression_path():
     ce = christoffel(m, s)
     np.testing.assert_allclose(ce.Gamma, 0.0, atol=1e-14)
     assert flag_curvature(m, s, [1.0, -0.5]) == pytest.approx(0.0, abs=1e-14)
-
-
-@pytest.mark.parametrize("name", ["funk", "riemannian_perturbation"])
-def test_composed_blocks_follow_the_chain_rule(name):
-    # along (x0 + t a + s c, v0 + t b + s d) each block's parameter slots are
-    # its x-partial times the x-direction plus its y-partial times the
-    # y-direction, read from the order-4 blocks at (x0, v0)
-    n = 3
-    m = builtin(name, dim=n) if name == "funk" else perturbed_riemannian(n)
-    rng = np.random.default_rng(4)
-    x0, v0 = np.array([0.1, -0.2, 0.15]), np.array([0.6, 0.3, -0.5])
-    xdirs, ydirs = rng.uniform(-1, 1, (2, 2, n))
-    t, s, *xy = seed(np.zeros(2 + 2 * n), 4)
-    x_jets = [x0[i] + t * xdirs[0, i] + s * xdirs[1, i] + xy[i] for i in range(n)]
-    v_jets = [v0[i] + t * ydirs[0, i] + s * ydirs[1, i] + xy[n + i] for i in range(n)]
-    blocks = composed_blocks(m, x_jets, v_jets, n_outer=2)
-    b = metric_blocks(m, x0, v0, 4)
-    chain = {
-        "g": (b.g, lambda a, c: b.dg_dx @ a + 2 * b.C @ c),
-        "dg_dx": (
-            b.dg_dx,
-            lambda a, c: b.d2g_dxdx @ a + 2 * np.einsum("ijlk,l->ijk", b.dC_dx, c),
-        ),
-        "C": (b.C, lambda a, c: b.dC_dx @ a + b.dC_dy @ c),
-    }
-    for key, (value, along) in chain.items():
-        got, d = blocks[key]
-        np.testing.assert_array_equal(got, value)
-        assert d.shape == value.shape + (2,)
-        for p in range(2):
-            want = along(xdirs[p], ydirs[p])
-            assert np.abs(d[..., p] - want).max() <= 1e-13 * np.abs(want).max()

@@ -57,6 +57,7 @@ def test_small_default_plan_passes():
         "two_param_commutation",
         "extension_independence",
         "curve_decomposition",
+        "gamma_partials",
         "h_symmetry",
         "h_zero_geodesic",
         "flag_sphere",
@@ -227,6 +228,25 @@ def test_homogeneity_rows_fail_on_a_non_homogeneous_metric():
         assert not rows[name].passed, (name, rows[name].max_residual)
 
 
+def test_gamma_partials_catches_a_wrong_christoffel_tangent(monkeypatch):
+    # both sides of curve_decomposition read Gamma's (t, s) derivatives off
+    # the same record, so a wrong tangent in christoffel_with_partials moves
+    # neither; gamma_partials takes them by a complex step of the blocks
+    real = connection.inverse_with_tangent
+
+    def skewed(g, dg):
+        ginv, ginv_t = real(g, dg)
+        return ginv, ginv_t * (1.0 + 1e-6)
+
+    monkeypatch.setattr(connection, "inverse_with_tangent", skewed)
+    plan = VerificationPlan(
+        metrics=[builtin("funk", dim=2)], samples=3, curve_samples=3, heavy_samples=1, seed=3
+    )
+    rows = {r.name: r for r in run_verification(plan).results}
+    assert not rows["gamma_partials"].passed, rows["gamma_partials"].max_residual
+    assert rows["curve_decomposition"].passed, rows["curve_decomposition"].max_residual
+
+
 def test_sweep_takes_order_three_blocks_from_the_christoffel_records(monkeypatch):
     orders = []
     real = verify.metric_blocks
@@ -297,6 +317,7 @@ _SWEEP_ROWS = {
         "two_param_commutation": 1,
         "extension_independence": 1,
         "curve_decomposition": 1,
+        "gamma_partials": 2,
         "h_symmetry": 1,
     },
     "geodesic": {"h_zero_geodesic": 3},

@@ -5,6 +5,9 @@ residual came from must not move under a change that keeps every random
 draw.  A change that alters the draws on purpose regenerates the data with
 
     PYTHONPATH=src python tests/test_verify_fingerprint.py
+
+which prints, per dimension, the rows whose entries moved against the file
+it overwrites.
 """
 
 import json
@@ -32,6 +35,19 @@ def test_sample_stream_matches_recorded_fingerprint(dim):
     assert fingerprint(dim) == expected
 
 
+def moved_rows(old, new):
+    """Per dimension, the rows of fingerprint `new` that are added, removed
+    or changed against `old`."""
+    out = {}
+    for dim, rows in new.items():
+        before = old.get(dim, {})
+        out[dim] = sorted(name for name in set(before) | set(rows) if before.get(name) != rows.get(name))
+    return out
+
+
 if __name__ == "__main__":
+    old = json.loads(DATA.read_text(encoding="utf-8")) if DATA.exists() else {}
     doc = {str(dim): fingerprint(dim) for dim in DIMS}
     DATA.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    for dim, names in moved_rows(old, doc).items():
+        print(f"dim {dim}: " + (", ".join(names) if names else "no row moved"))
