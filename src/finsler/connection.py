@@ -8,6 +8,16 @@ metric blocks in three steps (Einstein summation, indices 0-based in code):
     N^s_j     = v^i gamma^s_ji - v^l v^i gamma^p_li g^{ks} C_pjk
     Gamma^s_ij = gamma^s_ij - g^{ks}(N^p_j C_pik + N^p_i C_pkj - N^p_k C_pij)
 
+Every sum is taken as a product of two arrays, through the raised Cartan
+tensor C_up[p,j,s] = C_pjk g^{ks}: with a[s,j] = gamma^s_ji v^i, the spray
+is v^l v^i gamma^p_li = a[p,l] v^l, and the three corrections are
+
+    T1[s,i,j] = C_up[p,i,s] N^p_j,   T2[s,i,j] = T1[s,j,i]  (C is symmetric),
+    T3[s,i,j] = (N g^-1)[p,s] C_pij,
+
+so Gamma = gamma_up - T1 - T2 + T3 costs O(n^4) per tangent direction, not
+the O(n^5) of the three-factor sums.
+
 The assembly is written once over values with an optional trailing tangent
 axis: without tangents it returns the symbols at a sample; with the blocks'
 x- and y-derivatives as tangents it returns the symbols together with their
@@ -17,6 +27,7 @@ x- and y-derivatives in a single pass (first-order Taylor arithmetic).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -90,20 +101,30 @@ class ChristoffelEval:
     dGamma_dy: np.ndarray = None
 
 
+@lru_cache(maxsize=64)
+def _tangent_specs(spec):
+    """Per factor k of the einsum `spec`, the spec of its product-rule term:
+    factor k carries the trailing tangent axis, and so does the output."""
+    inputs, output = spec.split("->")
+    inputs = inputs.split(",")
+    return tuple(
+        ",".join(s + "..." if m == k else s for m, s in enumerate(inputs)) + "->" + output + "..."
+        for k in range(len(inputs))
+    )
+
+
 def tangent_einsum(spec, *factors):
     """einsum over (value, tangent) factors.  A tangent is the derivative of
     its value along a trailing axis, or None; the result's tangent follows
     the product rule and is None when no factor carries one."""
     value = np.einsum(spec, *(f[0] for f in factors))
-    inputs, output = spec.split("->")
-    inputs = inputs.split(",")
     tangent = None
-    for k, (_, dk) in enumerate(factors):
+    for k, term_spec in enumerate(_tangent_specs(spec)):
+        dk = factors[k][1]
         if dk is None:
             continue
-        terms = [s + "..." if m == k else s for m, s in enumerate(inputs)]
         ops = [dk if m == k else f[0] for m, f in enumerate(factors)]
-        term = np.einsum(",".join(terms) + "->" + output + "...", *ops)
+        term = np.einsum(term_spec, *ops)
         tangent = term if tangent is None else tangent + term
     return value, tangent
 
@@ -132,18 +153,14 @@ def christoffel_core(dg, C, v, ginv, tangents=None):
     dg, C, v, ginv = zip((dg, C, v, ginv), tangents or (None,) * 4)
     gamma_low = tangent_map(lowered_symbols, dg)
     gamma_up = tangent_einsum("sk,kij->sij", ginv, gamma_low)
-    spray = tangent_einsum("pli,l,i->p", gamma_up, v, v)
+    a = tangent_einsum("sji,i->sj", gamma_up, v)
+    spray = tangent_einsum("pl,l->p", a, v)
     C_up = tangent_einsum("pjk,ks->pjs", C, ginv)
-    N = tangent_map(
-        np.subtract,
-        tangent_einsum("sji,i->sj", gamma_up, v),
-        tangent_einsum("p,pjs->sj", spray, C_up),
-    )
-    corr = [
-        tangent_einsum(spec, ginv, N, C)
-        for spec in ("ks,pj,pik->sij", "ks,pi,pkj->sij", "ks,pk,pij->sij")
-    ]
-    Gamma = tangent_map(lambda G, a, b, c: G + (-a - b + c), gamma_up, *corr)
+    N = tangent_map(np.subtract, a, tangent_einsum("p,pjs->sj", spray, C_up))
+    T1 = tangent_einsum("pis,pj->sij", C_up, N)
+    T2 = tangent_map(lambda t: t.swapaxes(1, 2), T1)
+    T3 = tangent_einsum("ps,pij->sij", tangent_einsum("pk,ks->ps", N, ginv), C)
+    Gamma = tangent_map(lambda G, t1, t2, t3: G + (-t1 - t2 + t3), gamma_up, T1, T2, T3)
     out = (gamma_low, gamma_up, N, Gamma)
     return tuple(p[0] for p in out), tangents and tuple(p[1] for p in out)
 
@@ -151,7 +168,7 @@ def christoffel_core(dg, C, v, ginv, tangents=None):
 def inverse_with_tangent(g, dg):
     """g^-1 and its derivative -g^-1 (dg) g^-1 along dg's trailing axis."""
     G0 = np.linalg.inv(g)
-    return G0, -np.einsum("ia,abz,bj->ijz", G0, dg, G0)
+    return G0, -np.einsum("ibz,bj->ijz", np.einsum("ia,abz->ibz", G0, dg), G0)
 
 
 def christoffel(metric, sample):

@@ -3,20 +3,21 @@
 Everything here is deliberately computed WITHOUT the jet engine: the
 Riemannian oracles use hand-derived closed-form derivatives and plain numpy;
 the Funk flag-curvature oracle rebuilds the whole pipeline from nested
-central differences in mpmath arbitrary precision.
+central differences in mpmath arbitrary precision; the Christoffel assembly
+keeps the three-factor sums of the formulas, which the package factors into
+products of two arrays.
 """
 
 import mpmath as mp
 import numpy as np
 
-PERTURBATION_AMPLITUDE = 0.1
-
-
-def perturbation_matrix(x, amplitude=PERTURBATION_AMPLITUDE):
-    """A(x) = I + a*S(x), S_ij = sin(x_i + 2 x_j) + sin(x_j + 2 x_i), with
-    first and second derivatives from the closed forms."""
+def perturbation_matrix(x):
+    """A(x) = I + a*S(x), S_ij = sin(x_i + 2 x_j) + sin(x_j + 2 x_i) and
+    a = min(0.1, 0.4/n), with first and second derivatives from the closed
+    forms."""
     x = np.asarray(x, dtype=float)
     n = len(x)
+    amplitude = min(0.1, 0.4 / n)
     A = np.eye(n)
     dA = np.zeros((n, n, n))
     d2A = np.zeros((n, n, n, n))
@@ -109,6 +110,62 @@ def sectional_curvature(A, R, v, u):
     num = float(Rv @ A @ v)
     den = float((v @ A @ v) * (u @ A @ u) - (v @ A @ u) ** 2)
     return num / den
+
+
+# -- Christoffel assembly by three-factor sums ----------------------------------
+
+
+def _product_rule_einsum(spec, *factors):
+    """einsum over (value, tangent-or-None) pairs, the tangent along a
+    trailing axis by the product rule, one full einsum per factor."""
+    value = np.einsum(spec, *(f[0] for f in factors))
+    inputs, output = spec.split("->")
+    inputs = inputs.split(",")
+    tangent = None
+    for k, (_, dk) in enumerate(factors):
+        if dk is None:
+            continue
+        terms = [s + "..." if m == k else s for m, s in enumerate(inputs)]
+        ops = [dk if m == k else f[0] for m, f in enumerate(factors)]
+        term = np.einsum(",".join(terms) + "->" + output + "...", *ops)
+        tangent = term if tangent is None else tangent + term
+    return value, tangent
+
+
+def _linear(f, *pairs):
+    """A linear map applied to the values and, when present, the tangents."""
+    value = f(*(p[0] for p in pairs))
+    return value, None if pairs[0][1] is None else f(*(p[1] for p in pairs))
+
+
+def christoffel_assembly(dg, C, v, ginv, tangents=None):
+    """(gamma_low, gamma_up, N, Gamma) and their tangents, each Cartan
+    correction g^{ks} N^p_. C_p.. and the spray v^l v^i gamma^p_li summed as
+    one three-factor einsum, straight from the formulas:
+
+        N^s_j      = v^i gamma^s_ji - v^l v^i gamma^p_li g^{ks} C_pjk
+        Gamma^s_ij = gamma^s_ij - g^{ks}(N^p_j C_pik + N^p_i C_pkj - N^p_k C_pij)
+
+    Same arguments and return as `connection.christoffel_core`."""
+    dg, C, v, ginv = zip((dg, C, v, ginv), tangents or (None,) * 4)
+    gamma_low = _linear(
+        lambda d: 0.5 * (d - np.einsum("bca...->abc...", d) + np.einsum("cab...->abc...", d)), dg
+    )
+    gamma_up = _product_rule_einsum("sk,kij->sij", ginv, gamma_low)
+    spray = _product_rule_einsum("pli,l,i->p", gamma_up, v, v)
+    C_up = _product_rule_einsum("pjk,ks->pjs", C, ginv)
+    N = _linear(
+        np.subtract,
+        _product_rule_einsum("sji,i->sj", gamma_up, v),
+        _product_rule_einsum("p,pjs->sj", spray, C_up),
+    )
+    corr = [
+        _product_rule_einsum(spec, ginv, N, C)
+        for spec in ("ks,pj,pik->sij", "ks,pi,pkj->sij", "ks,pk,pij->sij")
+    ]
+    Gamma = _linear(lambda G, a, b, c: G + (-a - b + c), gamma_up, *corr)
+    out = (gamma_low, gamma_up, N, Gamma)
+    return tuple(p[0] for p in out), tangents and tuple(p[1] for p in out)
 
 
 # -- Funk constant via arbitrary-precision finite differences -----------------

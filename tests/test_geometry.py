@@ -77,6 +77,18 @@ def test_riemannian_g_equals_quadratic_form():
         np.testing.assert_allclose(g2, g, atol=1e-13)
 
 
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_riemannian_perturbation_is_positive_definite_on_the_box(dim):
+    # Gershgorin: |S_ij| <= 2 and a = min(0.1, 0.4/n) give lambda_min >= 1 - 2 a n >= 0.2
+    m = builtin("riemannian_perturbation", dim=dim)
+    rng = np.random.default_rng(dim)
+    for _ in range(40):
+        x = rng.uniform(-0.6, 0.6, dim)
+        g = metric_blocks(m, x, rng.uniform(-1.5, 1.5, dim), order=2).g
+        np.testing.assert_allclose(g, perturbation_matrix(x)[0], atol=1e-13)
+        assert np.linalg.eigvalsh(g).min() >= 0.2
+
+
 def test_quartic_g_against_finite_differences():
     m = builtin("minkowski_quartic", dim=2)
     x = np.array([0.0, 0.0])

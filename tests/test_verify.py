@@ -288,6 +288,13 @@ def test_a_heavy_sample_at_the_domain_boundary_ends_in_a_report():
     assert report.passed, [r.name for r in report.results if not r.passed]
 
 
+def test_a_riemannian_perturbation_geodesic_at_dim_7_ends_in_a_passing_report():
+    # with amplitude 0.1 the family was indefinite on part of the box at
+    # dim 7, and this plan's geodesic shoot on it raised IntegrationError
+    report = run_verification(default_plan(20, seed=2, dim=7))
+    assert report.passed, [r.name for r in report.results if not r.passed]
+
+
 # Each report row: the sweep kind that yields it and the residuals it yields
 # per draw of that sweep.  Point draws past `heavy_samples` skip the heavy rows.
 _SWEEP_ROWS = {
